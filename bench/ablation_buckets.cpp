@@ -18,8 +18,8 @@ int run_plan() {
               "(AODV/UDP, C4.5, avg probability)\n");
   print_rule('=');
 
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options());
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options()).value();
 
   std::printf("%-10s %-8s %-10s %-16s\n", "buckets", "gap", "AUC+",
               "optimal (r,p)");

@@ -28,8 +28,8 @@ int run_plan() {
       "Ablation F: feature-selection sweep (AODV/UDP, C4.5, MI ranker)\n");
   print_rule('=');
 
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options());
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options()).value();
   const RawTrace* threshold_trace =
       data.normal_eval.empty() ? nullptr : &data.normal_eval.front();
 
@@ -82,7 +82,7 @@ int run_plan() {
       "also reads only k-1 inputs, so the win is superlinear) while the MI\n"
       "ranking keeps the mutually-informative columns that cross-feature\n"
       "analysis needs — detection quality degrades gracefully, not off a\n"
-      "cliff. Measured speedups are recorded in BENCH_featsel.json.\n");
+      "cliff. Measured speedups are tracked by perf/run.sh detect-paper.\n");
   return 0;
 }
 

@@ -26,9 +26,10 @@ ExperimentOptions varied_options() {
   return options;
 }
 
-/// The trace inventory for one variation case, in gather order. Factored
-/// from gather_varied() so the plan's shard-unit enumeration and its run()
-/// cannot drift apart.
+/// The trace inventory for one variation case, laid out the way
+/// gather_inventory_checked() expects: training trace, normal evaluation
+/// traces, then attack traces. Shared by run() and the plan's shard-unit
+/// enumeration so the two cannot drift apart.
 std::vector<ScenarioConfig> varied_configs(const ExperimentOptions& options,
                                            bool vary_mobility,
                                            bool vary_traffic) {
@@ -49,28 +50,6 @@ std::vector<ScenarioConfig> varied_configs(const ExperimentOptions& options,
     configs.push_back(std::move(config));
   }
   return configs;
-}
-
-ExperimentData gather_varied(bool vary_mobility, bool vary_traffic) {
-  const ExperimentOptions options = varied_options();
-  const std::vector<ScenarioConfig> configs =
-      varied_configs(options, vary_mobility, vary_traffic);
-
-  ExperimentData data;
-  data.base_config = configs.front();
-  data.base_config.seed = ScenarioConfig{}.seed;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const bool is_abnormal = i > options.normal_eval_traces;
-    ScenarioResult result = run_scenario(configs[i], options.label_policy);
-    if (i == 0)
-      data.train_normal = std::move(result.trace);
-    else if (!is_abnormal)
-      data.normal_eval.push_back(std::move(result.trace));
-    else
-      data.abnormal.push_back(std::move(result.trace));
-    data.summaries.push_back(result.summary);
-  }
-  return data;
 }
 
 }  // namespace
@@ -100,8 +79,11 @@ int run_plan() {
   std::printf("%-40s %-10s %-16s\n", "evaluation traces", "AUC+",
               "optimal (r,p)");
   for (const Case& c : cases) {
+    const xfa::ExperimentOptions options = varied_options();
     const xfa::ExperimentData data =
-        gather_varied(c.vary_mobility, c.vary_traffic);
+        xfa::gather_inventory_checked(
+            varied_configs(options, c.vary_mobility, c.vary_traffic), options)
+            .value();
     const Cell cell = evaluate(data, xfa::make_c45_factory());
     const xfa::PrCurve curve = pr_curve(cell, xfa::ScoreKind::Probability);
     const xfa::PrPoint best = curve.optimal_point();

@@ -27,8 +27,8 @@ int run_plan() {
        {LabelPolicy::OnsetOnwards, LabelPolicy::ActiveSessions}) {
     ExperimentOptions options = paper_mixed_options();
     options.label_policy = policy;
-    const ExperimentData data = gather_experiment(
-        RoutingKind::Aodv, TransportKind::Udp, options);
+    const ExperimentData data = gather_experiment_checked(
+        RoutingKind::Aodv, TransportKind::Udp, options).value();
     const Cell cell = evaluate(data, make_c45_factory());
     const PrCurve curve = pr_curve(cell, ScoreKind::Probability);
     const PrPoint best = curve.optimal_point();

@@ -17,8 +17,8 @@ int run_plan() {
   std::printf("Ablation B: sampling-period slices (AODV/UDP, C4.5)\n");
   print_rule('=');
 
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options());
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options()).value();
 
   struct Slice {
     const char* name;

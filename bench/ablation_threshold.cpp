@@ -19,8 +19,8 @@ int run_plan() {
   std::printf("Ablation C: threshold confidence sweep (AODV/UDP, C4.5)\n");
   print_rule('=');
 
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options());
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, paper_mixed_options()).value();
   // Train once, sweep thresholds over the calibration-trace quantiles.
   DetectorOptions options;
   const Cell cell = evaluate(data, make_c45_factory(), options);

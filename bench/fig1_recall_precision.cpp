@@ -28,8 +28,8 @@ int run_plan() {
   std::map<std::string, double> auc;  // "scenario/classifier" -> AUC
   for (const ScenarioCombo& combo : paper_scenarios()) {
     const ExperimentData data =
-        gather_experiment(combo.routing, combo.transport,
-                          paper_mixed_options());
+        gather_experiment_checked(combo.routing, combo.transport,
+                                  paper_mixed_options()).value();
     for (const NamedFactory& classifier : paper_classifiers()) {
       std::printf("\n--- %s, %s ---\n", combo.name.c_str(),
                   classifier.name.c_str());

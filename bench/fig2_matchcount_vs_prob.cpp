@@ -24,8 +24,8 @@ int run_plan() {
 
   double ripper_gain = 0, others_gain = 0;
   for (const ScenarioCombo& combo : paper_scenarios()) {
-    const ExperimentData data = gather_experiment(
-        combo.routing, combo.transport, paper_mixed_options());
+    const ExperimentData data = gather_experiment_checked(
+        combo.routing, combo.transport, paper_mixed_options()).value();
     for (const NamedFactory& classifier : paper_classifiers()) {
       const Cell cell = evaluate(data, classifier.factory);
       const PrCurve match_curve = pr_curve(cell, ScoreKind::MatchCount);

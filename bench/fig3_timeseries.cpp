@@ -26,13 +26,13 @@ int run_plan() {
   print_rule('=');
 
   const ExperimentOptions options = paper_mixed_options();
-  const SimTime onset =
-      (options.fast || fast_mode_enabled()) ? 2500 * 0.25 : 2500;
+  const SimTime onset = fast_mode_enabled() ? 2500 * 0.25 : 2500;
   const SimTime bin = onset / 10;  // 250 s bins at full scale
 
   for (const ScenarioCombo& combo : paper_scenarios()) {
     const ExperimentData data =
-        gather_experiment(combo.routing, combo.transport, options);
+        gather_experiment_checked(combo.routing, combo.transport, options)
+            .value();
     const Cell cell = evaluate(data, make_c45_factory());
 
     std::vector<const RawTrace*> normal_traces, abnormal_traces;

@@ -26,8 +26,8 @@ int run_plan() {
 
   double aodv_missed = 0, dsr_missed = 0;
   for (const ScenarioCombo& combo : paper_scenarios()) {
-    const ExperimentData data = gather_experiment(
-        combo.routing, combo.transport, paper_mixed_options());
+    const ExperimentData data = gather_experiment_checked(
+        combo.routing, combo.transport, paper_mixed_options()).value();
     const Cell cell = evaluate(data, make_c45_factory());
     const double theta = cell.detector.threshold_probability;
 

@@ -29,9 +29,9 @@ int run_plan() {
 
   for (const AttackKind kind :
        {AttackKind::Blackhole, AttackKind::SelectiveDrop}) {
-    const ExperimentData data = gather_experiment(
+    const ExperimentData data = gather_experiment_checked(
         RoutingKind::Aodv, TransportKind::Udp,
-        paper_single_attack_options(kind));
+        paper_single_attack_options(kind)).value();
     const Cell cell = evaluate(data, make_c45_factory());
 
     std::vector<const RawTrace*> normal_traces, abnormal_traces;

@@ -28,8 +28,8 @@ int run_plan() {
     // per-attack densities depict.
     ExperimentOptions options = paper_single_attack_options(kind);
     options.label_policy = LabelPolicy::ActiveSessions;
-    const ExperimentData data = gather_experiment(
-        RoutingKind::Aodv, TransportKind::Udp, options);
+    const ExperimentData data = gather_experiment_checked(
+        RoutingKind::Aodv, TransportKind::Udp, options).value();
     const Cell cell = evaluate(data, make_c45_factory());
     const double theta = cell.detector.threshold_probability;
 

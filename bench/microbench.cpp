@@ -19,8 +19,8 @@
 //   scale-sweep          Whole AODV/UDP worlds at N = 100 / 1k / 5k / 10k
 //                        nodes under constant spatial density, reported as
 //                        dispatched scheduler events per second (the
-//                        scale-out axis; see DESIGN.md §15 and
-//                        BENCH_scale.json).
+//                        scale-out axis; see DESIGN.md §15 and the
+//                        perf/ scale-1k workload).
 //
 // Detection kernels (the paper's computational-cost axis):
 //   c45-train            C4.5 fit through the column-major DatasetView and
@@ -320,8 +320,7 @@ void bench_scale_sweep(bool quick) {
 }
 
 /// Synthetic discrete dataset with the detection pipeline's shape:
-/// cardinality 5, correlated in blocks of 4 columns (mirrors
-/// bench/perf_classifiers.cpp so the kernels exercise comparable trees).
+/// cardinality 5, correlated in blocks of 4 columns.
 Dataset synthetic_dataset(std::size_t rows, std::size_t columns,
                           std::uint64_t seed) {
   Dataset data;

@@ -176,7 +176,7 @@ const ExperimentPlan* find_plan(const std::string& name) {
   return nullptr;
 }
 
-int run_plan_cli(int argc, char** argv, const char* default_plan) {
+int run_plan_cli(int argc, char** argv) {
   bool list = false;
   std::size_t threads = 0;  // 0 = leave the shared pool at its default size
   bool threads_set = false;
@@ -236,10 +236,7 @@ int run_plan_cli(int argc, char** argv, const char* default_plan) {
                  "--shard and --merge are different run phases; pick one\n");
     return 2;
   }
-  if (selected.empty()) {
-    if (default_plan == nullptr) return print_usage(argv[0]);
-    selected.push_back(default_plan);
-  }
+  if (selected.empty()) return print_usage(argv[0]);
 
   // Resolve every plan before running any, so a typo in the second name
   // does not waste the first plan's simulation time.

@@ -1,7 +1,6 @@
 // Declarative bench driver: every reproduced figure/table/ablation is an
 // ExperimentPlan registered at static-init time, and one binary (xfa_bench)
-// lists and runs them. The legacy per-figure binaries are thin shims that
-// forward to the same registry with a default plan baked in.
+// lists and runs them.
 //
 // CLI contract (run_plan_cli):
 //   xfa_bench --list                 print the registered plans (with their
@@ -63,9 +62,9 @@ std::vector<const ExperimentPlan*> plans();
 /// Looks up one plan; nullptr when unknown.
 const ExperimentPlan* find_plan(const std::string& name);
 
-/// The xfa_bench entry point. `default_plan` (used by the legacy shims)
-/// names the plan to run when argv selects none.
-int run_plan_cli(int argc, char** argv, const char* default_plan = nullptr);
+/// The xfa_bench entry point. With no plan selected it prints usage and
+/// returns 2.
+int run_plan_cli(int argc, char** argv);
 
 /// Registers a plan from a translation-unit-scope static initializer:
 ///   const PlanRegistrar registrar{"fig1", "Figure 1: ...", run_plan,

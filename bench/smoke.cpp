@@ -45,7 +45,9 @@ int run_plan() {
   std::printf("%-12s %10s %10s\n", "scenario", "C4.5", "NBC");
   for (const ScenarioCombo& combo : scenarios) {
     const ExperimentData data =
-        gather_experiment(combo.routing, combo.transport, smoke_options());
+        gather_experiment_checked(combo.routing, combo.transport,
+                                  smoke_options())
+            .value();
     std::printf("%-12s", combo.name.c_str());
     for (const NamedFactory& classifier : classifiers) {
       const Cell cell = evaluate(data, classifier.factory);

@@ -27,7 +27,7 @@ AttackReport study(xfa::AttackKind kind, const xfa::Detector& detector,
   clean.routing = routing;
   clean.duration = duration;
   clean.seed = 2024;
-  const auto clean_result = xfa::run_scenario(clean);
+  const auto clean_result = xfa::run_scenario_checked(clean).value();
 
   xfa::ScenarioConfig attacked = clean;
   attacked.attacks = xfa::single_attack_sessions(kind);
@@ -36,7 +36,7 @@ AttackReport study(xfa::AttackKind kind, const xfa::Detector& detector,
     start *= duration / 10000.0;
     len = 100;
   }
-  const auto attack_result = xfa::run_scenario(attacked);
+  const auto attack_result = xfa::run_scenario_checked(attacked).value();
 
   const auto scores = detector.score_trace(attack_result.trace);
   const double onset = attacked.attacks[0].schedule.sessions.front().first;
@@ -75,13 +75,15 @@ int main(int argc, char** argv) {
   train.routing = routing;
   train.duration = duration;
   train.seed = 7;
-  const auto train_result = xfa::run_scenario(train);
+  const auto train_result = xfa::run_scenario_checked(train).value();
   xfa::ScenarioConfig calibration = train;
   calibration.seed = 8;
-  const auto calibration_result = xfa::run_scenario(calibration);
+  const auto calibration_result =
+      xfa::run_scenario_checked(calibration).value();
   const xfa::Detector detector =
-      xfa::train_detector(train_result.trace, xfa::make_c45_factory(), {},
-                          &calibration_result.trace);
+      xfa::train_detector_checked(train_result.trace, xfa::make_c45_factory(),
+                                  {}, &calibration_result.trace)
+          .value();
 
   std::printf("%-16s %-10s %-12s %-14s %-10s\n", "attack", "clean PDR",
               "attacked PDR", "latency (s)", "coverage");

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
   std::printf("[1/4] simulating traces (cached after first run)...\n");
   const xfa::ExperimentData data =
-      xfa::gather_experiment(routing, transport, options);
+      xfa::gather_experiment_checked(routing, transport, options).value();
 
   std::printf("[2/4] training %s cross-feature sub-models...\n",
               classifier_name.c_str());
@@ -54,8 +54,10 @@ int main(int argc, char** argv) {
   detector_options.false_alarm_rate = 0.02;
   // Threshold calibrated on a held-out normal trace (paper: a lower bound
   // of score values on normal events at the chosen confidence level).
-  const xfa::Detector detector = xfa::train_detector(
-      data.train_normal, factory, detector_options, &data.normal_eval[0]);
+  const xfa::Detector detector =
+      xfa::train_detector_checked(data.train_normal, factory,
+                                  detector_options, &data.normal_eval[0])
+          .value();
   std::printf("      threshold(avg probability) = %.3f  (98%% confidence)\n",
               detector.threshold_probability);
 

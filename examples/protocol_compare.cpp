@@ -21,7 +21,7 @@ void run(xfa::RoutingKind routing, double duration) {
   config.duration = duration;
   config.seed = 42;
 
-  const xfa::ScenarioResult result = xfa::run_scenario(config);
+  const xfa::ScenarioResult result = xfa::run_scenario_checked(config).value();
   const xfa::ScenarioSummary& s = result.summary;
   std::printf("%-5s data=%llu/%llu  PDR=%.3f  events=%llu\n",
               to_string(routing),

@@ -72,13 +72,13 @@ int main() {
   for (auto& attack : options.attacks) {
     attack.schedule.start /= 5;  // onsets at 500 s / 1000 s for a 2000 s run
   }
-  const xfa::ExperimentData data = xfa::gather_experiment(
-      xfa::RoutingKind::Aodv, xfa::TransportKind::Udp, options);
+  const xfa::ExperimentData data = xfa::gather_experiment_checked(
+      xfa::RoutingKind::Aodv, xfa::TransportKind::Udp, options).value();
 
   xfa::DetectorOptions detector_options;
   const xfa::Detector detector =
-      xfa::train_detector(data.train_normal, xfa::make_c45_factory(),
-                          detector_options);
+      xfa::train_detector_checked(data.train_normal, xfa::make_c45_factory(),
+                                  detector_options).value();
 
   const auto normal_scores = detector.score_trace(data.normal_eval.front());
   const auto attack_scores = detector.score_trace(data.abnormal.front());

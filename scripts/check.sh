@@ -8,7 +8,9 @@
 # running the xfa_lint repo rules in every pass, then re-running the chaos /
 # corruption / crash-resume robustness suites under the sanitizers with the
 # cache forced off (XFA_NO_CACHE) so every fault-injection, artifact-parsing
-# and kill/resume path is actually exercised under ASan+UBSan. CI runs
+# and kill/resume path is actually exercised under ASan+UBSan, and finally
+# building and self-testing the perf/ benchmark driver, which compiles
+# src/ on its own, so an API change that breaks it fails here. CI runs
 # exactly this script.
 #
 # Usage: scripts/check.sh [jobs]
@@ -74,6 +76,12 @@ run_pass() {
 }
 
 run_pass "release" build-check-release -DCMAKE_BUILD_TYPE=Release
+
+# The benchmark driver (perf/xfa_perf.cpp) is a separate CMake project over
+# the same src/; its selftest builds it, checks digests across thread
+# counts and traced vs plain runs, and validates every JSON it emits.
+echo "=== perf: benchmark driver selftest ==="
+bash perf/run.sh selftest
 
 run_pass "asan+ubsan" build-check-sanitize \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

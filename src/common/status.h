@@ -92,17 +92,26 @@ class [[nodiscard]] Result {
 
   const Status& status() const { return status_; }
 
-  T& value() {
+  /// Aborts (XFA_CHECK) with the status message when !ok(). Ref-qualified
+  /// like std::optional: on an rvalue the value is moved out and returned
+  /// by value, so `f().value()` never copies and a reference bound to it
+  /// never dangles.
+  T& value() & {
     XFA_CHECK(ok()) << status_.to_string();
     return value_;
   }
-  const T& value() const {
+  const T& value() const& {
     XFA_CHECK(ok()) << status_.to_string();
     return value_;
+  }
+  T value() && {
+    XFA_CHECK(ok()) << status_.to_string();
+    return std::move(value_);
   }
 
-  T& operator*() { return value(); }
-  const T& operator*() const { return value(); }
+  T& operator*() & { return value(); }
+  const T& operator*() const& { return value(); }
+  T operator*() && { return std::move(*this).value(); }
   T* operator->() { return &value(); }
   const T* operator->() const { return &value(); }
 

@@ -1,16 +1,19 @@
 #include "scenario/graph/generate.h"
 
+#include <cstdint>
 #include <string>
-#include <utility>
+#include <string_view>
+
+#include "sim/types.h"
 
 namespace xfa {
 namespace {
 
-void push(ElementSpec& elem, std::string_view key, std::string value) {
-  elem.params.emplace_back(std::string(key), std::move(value));
+void emit(std::string& out, std::string_view key, const std::string& value) {
+  out += std::string(key) + " = " + value + "\n";
 }
 
-/// Grid-aligned decimal so the value survives text round-trips exactly.
+/// Grid-aligned decimal: one fractional digit, exact in the text form.
 std::string decimal(Rng& rng, int lo_tenths, int hi_tenths) {
   const int tenths =
       lo_tenths + static_cast<int>(rng.uniform_int(
@@ -23,13 +26,12 @@ std::string node_or_auto(Rng& rng, std::size_t node_count) {
   return std::to_string(rng.uniform_int(node_count));
 }
 
-void push_schedule(Rng& rng, ElementSpec& elem, double duration) {
+void emit_schedule(Rng& rng, std::string& out, double duration) {
   if (rng.chance(0.5)) {
-    push(elem, "start",
+    emit(out, "start",
          std::to_string(10 + 10 * rng.uniform_int(
                                  static_cast<std::uint64_t>(duration / 20))));
-    push(elem, "session",
-         std::to_string(10 + 10 * rng.uniform_int(5)));
+    emit(out, "session", std::to_string(10 + 10 * rng.uniform_int(5)));
     return;
   }
   const std::size_t sessions = 1 + rng.uniform_int(3);
@@ -42,58 +44,43 @@ void push_schedule(Rng& rng, ElementSpec& elem, double duration) {
             std::to_string(static_cast<int>(len));
     start += len + 10 + 10 * static_cast<double>(rng.uniform_int(4));
   }
-  push(elem, "sessions", list);
+  emit(out, "sessions", list);
 }
 
 }  // namespace
 
-ScenarioSpec random_scenario_spec(Rng& rng) {
-  ScenarioSpec spec;
+std::string random_scenario_text(Rng& rng) {
   const std::size_t node_count = 8 + rng.uniform_int(17);  // [8, 24]
   const double duration = 200 + 100 * static_cast<double>(rng.uniform_int(5));
-  spec.base.node_count = node_count;
-  spec.base.duration = duration;
-  spec.base.sample_interval = 5;
-  spec.base.seed = rng();
-  spec.base.traffic_seed = rng();
-  spec.base.mobility_seed = rng();
-  spec.base.traffic.max_connections = 10 + rng.uniform_int(30);
-  spec.base.traffic.rate_pps = 0.25;
-  spec.base.mobility.max_speed =
-      std::stod(decimal(rng, 50, 250));  // [5.0, 25.0] m/s
+  std::string out = "[sim]\n";
+  emit(out, "nodes", std::to_string(node_count));
+  emit(out, "duration", std::to_string(static_cast<int>(duration)));
+  emit(out, "sample-interval", "5");
+  emit(out, "seed", std::to_string(rng()));
+  emit(out, "traffic-seed", std::to_string(rng()));
+  emit(out, "mobility-seed", std::to_string(rng()));
+  out += "\n[traffic]\n";
+  emit(out, "connections", std::to_string(10 + rng.uniform_int(30)));
+  emit(out, "rate-pps", "0.25");
+  out += "\n[mobility]\n";
+  emit(out, "max-speed", decimal(rng, 50, 250));  // [5.0, 25.0] m/s
 
-  {
-    ElementSpec elem;
-    elem.type = rng.chance(0.5) ? "aodv" : "dsr";
-    elem.name = elem.type;
-    spec.elements.push_back(std::move(elem));
-  }
-  {
-    ElementSpec elem;
-    elem.type = rng.chance(0.5) ? "cbr" : "tcp";
-    elem.name = elem.type;
-    spec.elements.push_back(std::move(elem));
-  }
+  out += rng.chance(0.5) ? "\n[element aodv]\n" : "\n[element dsr]\n";
+  out += rng.chance(0.5) ? "\n[element cbr]\n" : "\n[element tcp]\n";
   if (rng.chance(0.5)) {
-    ElementSpec elem;
-    elem.type = "monitor";
-    elem.name = elem.type;
-    push(elem, "node", std::to_string(rng.uniform_int(node_count)));
-    spec.elements.push_back(std::move(elem));
+    out += "\n[element monitor]\n";
+    emit(out, "node", std::to_string(rng.uniform_int(node_count)));
   }
   if (rng.chance(0.3)) {
-    ElementSpec elem;
-    elem.type = "faults";
-    elem.name = elem.type;
-    push(elem, "corruption-rate", "0." + std::to_string(rng.uniform_int(5)));
-    push(elem, "duplication-rate", "0.0" + std::to_string(rng.uniform_int(9)));
-    push(elem, "reorder-jitter", "0.00" + std::to_string(rng.uniform_int(9)));
-    push(elem, "seed", std::to_string(rng()));
+    out += "\n[element faults]\n";
+    emit(out, "corruption-rate", "0." + std::to_string(rng.uniform_int(5)));
+    emit(out, "duplication-rate", "0.0" + std::to_string(rng.uniform_int(9)));
+    emit(out, "reorder-jitter", "0.00" + std::to_string(rng.uniform_int(9)));
+    emit(out, "seed", std::to_string(rng()));
     // At least one mechanism must be armed; corruption-rate 0.0 alone would
     // lower to a disabled plan, which lower_spec rejects.
-    push(elem, "loss-burst-rate", "0.01");
-    push(elem, "loss-burst-duration", std::to_string(5 + rng.uniform_int(10)));
-    spec.elements.push_back(std::move(elem));
+    emit(out, "loss-burst-rate", "0.01");
+    emit(out, "loss-burst-duration", std::to_string(5 + rng.uniform_int(10)));
   }
 
   static constexpr const char* kAttackTypes[] = {
@@ -101,39 +88,35 @@ ScenarioSpec random_scenario_spec(Rng& rng) {
   static constexpr const char* kModes[] = {"constant", "random", "selective"};
   const std::size_t attack_count = rng.uniform_int(4);  // [0, 3]
   for (std::size_t i = 0; i < attack_count; ++i) {
-    ElementSpec elem;
-    elem.type = kAttackTypes[rng.uniform_int(5)];
-    elem.name = elem.type;
-    elem.name += '-';
-    elem.name += std::to_string(i + 1);
+    const std::string_view type = kAttackTypes[rng.uniform_int(5)];
+    out += "\n[element " + std::string(type) + " " + std::string(type) + "-" +
+           std::to_string(i + 1) + "]\n";
     const NodeId attacker =
         static_cast<NodeId>(1 + rng.uniform_int(node_count - 1));
-    push(elem, "attacker", std::to_string(attacker));
-    if (elem.type == "selective-drop") {
-      push(elem, "target", node_or_auto(rng, node_count));
-    } else if (elem.type == "drop") {
-      push(elem, "mode", kModes[rng.uniform_int(3)]);
-      push(elem, "probability", decimal(rng, 1, 9));
-      if (rng.chance(0.3)) push(elem, "data-only", "false");
-    } else if (elem.type == "impersonation") {
+    emit(out, "attacker", std::to_string(attacker));
+    if (type == "selective-drop") {
+      emit(out, "target", node_or_auto(rng, node_count));
+    } else if (type == "drop") {
+      emit(out, "mode", kModes[rng.uniform_int(3)]);
+      emit(out, "probability", decimal(rng, 1, 9));
+      if (rng.chance(0.3)) emit(out, "data-only", "false");
+    } else if (type == "impersonation") {
       // Explicit victims must differ from the attacker; 'auto' always does.
       if (rng.chance(0.5)) {
-        NodeId victim =
-            static_cast<NodeId>(rng.uniform_int(node_count));
+        NodeId victim = static_cast<NodeId>(rng.uniform_int(node_count));
         if (victim == attacker)
           victim = static_cast<NodeId>((victim + 1) %
                                        static_cast<NodeId>(node_count));
-        push(elem, "victim", std::to_string(victim));
+        emit(out, "victim", std::to_string(victim));
       } else {
-        push(elem, "victim", "auto");
+        emit(out, "victim", "auto");
       }
-      push(elem, "target", node_or_auto(rng, node_count));
-      push(elem, "rate-pps", decimal(rng, 5, 30));
+      emit(out, "target", node_or_auto(rng, node_count));
+      emit(out, "rate-pps", decimal(rng, 5, 30));
     }
-    push_schedule(rng, elem, duration);
-    spec.elements.push_back(std::move(elem));
+    emit_schedule(rng, out, duration);
   }
-  return spec;
+  return out;
 }
 
 }  // namespace xfa

@@ -203,8 +203,8 @@ ElementDef faults_element() {
        "mean node crashes per second"},
       {"node-crash-down", ParamKind::Double, 0, 1e6,
        "crashed node downtime (s)"},
-      // Max covers the full uint64 range: any config's fault_seed must
-      // survive config_to_spec -> lower_spec unchanged.
+      // Max covers the full uint64 range: every FaultPlan::fault_seed a
+      // config can carry is expressible in a scenario file.
       {"seed", ParamKind::Int, 0, 2e19, "dedicated fault-stream seed"},
   };
   def.lower = [](const ElementSpec& elem, ScenarioConfig& config) {

@@ -1,8 +1,7 @@
 #include "scenario/graph/spec.h"
 
-#include <cstdlib>
 #include <set>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "scenario/graph/registry.h"
@@ -40,63 +39,6 @@ Status check_node_in_range(const char* what, NodeId node,
                    " out of range [0, " + std::to_string(node_count) + ")");
   }
   return Status::Ok();
-}
-
-/// Shortest decimal form that parses back to exactly `value`.
-std::string fmt_num(double value) {
-  for (const int precision : {6, 12, 17}) {
-    std::ostringstream os;
-    os.precision(precision);
-    os << value;
-    const std::string text = os.str();
-    if (std::strtod(text.c_str(), nullptr) == value) return text;
-  }
-  return std::to_string(value);
-}
-
-void emit(std::string& out, std::string_view key, const std::string& value) {
-  out += std::string(key) + " = " + value + "\n";
-}
-
-void emit_num(std::string& out, std::string_view key, double value) {
-  emit(out, key, fmt_num(value));
-}
-
-void push(ElementSpec& elem, std::string_view key, std::string value) {
-  elem.params.emplace_back(std::string(key), std::move(value));
-}
-
-void push_num(ElementSpec& elem, std::string_view key, double value) {
-  push(elem, key, fmt_num(value));
-}
-
-void push_node(ElementSpec& elem, std::string_view key, NodeId node) {
-  if (node != kInvalidNode) push(elem, key, std::to_string(node));
-}
-
-void push_schedule(ElementSpec& elem, const ScheduleSpec& schedule) {
-  if (schedule.periodic) {
-    push_num(elem, "start", schedule.start);
-    push_num(elem, "session", schedule.duration);
-    return;
-  }
-  std::string sessions;
-  for (const auto& [start, len] : schedule.sessions) {
-    if (!sessions.empty()) sessions += ",";
-    sessions += fmt_num(start) + ":" + fmt_num(len);
-  }
-  push(elem, "sessions", sessions);
-}
-
-/// Unique instance name: the bare type for its first occurrence, then
-/// type-2, type-3, ...
-std::string instance_name(std::vector<ElementSpec>& elements,
-                          std::string_view type) {
-  std::size_t occurrences = 1;
-  for (const ElementSpec& elem : elements)
-    if (elem.type == type) ++occurrences;
-  if (occurrences == 1) return std::string(type);
-  return std::string(type) + "-" + std::to_string(occurrences);
 }
 
 }  // namespace
@@ -191,116 +133,6 @@ Result<ScenarioConfig> lower_spec(const ScenarioSpec& spec) {
     }
   }
   return config;
-}
-
-ScenarioSpec config_to_spec(const ScenarioConfig& config) {
-  ScenarioSpec spec;
-  spec.base = config;
-  spec.base.attacks.clear();
-  spec.base.faults = FaultPlan{};
-
-  {
-    ElementSpec elem;
-    elem.type = std::string(element_for(config.routing).type);
-    elem.name = elem.type;
-    spec.elements.push_back(std::move(elem));
-  }
-  {
-    ElementSpec elem;
-    elem.type = std::string(element_for(config.transport).type);
-    elem.name = elem.type;
-    spec.elements.push_back(std::move(elem));
-  }
-  {
-    ElementSpec elem;
-    elem.type = "monitor";
-    elem.name = elem.type;
-    push(elem, "node", std::to_string(config.monitor_node));
-    spec.elements.push_back(std::move(elem));
-  }
-  if (config.faults.enabled()) {
-    const FaultPlan& plan = config.faults;
-    ElementSpec elem;
-    elem.type = "faults";
-    elem.name = elem.type;
-    push_num(elem, "corruption-rate", plan.corruption_rate);
-    push_num(elem, "duplication-rate", plan.duplication_rate);
-    push_num(elem, "reorder-jitter", plan.reorder_jitter_s);
-    push_num(elem, "loss-burst-rate", plan.loss_burst_rate_per_s);
-    push_num(elem, "loss-burst-duration", plan.loss_burst_duration_s);
-    push_num(elem, "loss-burst-loss-rate", plan.loss_burst_loss_rate);
-    push_num(elem, "link-flap-rate", plan.link_flap_rate_per_s);
-    push_num(elem, "link-flap-down", plan.link_flap_down_s);
-    push_num(elem, "node-crash-rate", plan.node_crash_rate_per_s);
-    push_num(elem, "node-crash-down", plan.node_crash_down_s);
-    push(elem, "seed", std::to_string(plan.fault_seed));
-    spec.elements.push_back(std::move(elem));
-  }
-  for (const AttackSpec& attack : config.attacks) {
-    ElementSpec elem;
-    elem.type = std::string(element_for(attack.kind).type);
-    elem.name = instance_name(spec.elements, elem.type);
-    push(elem, "attacker", std::to_string(attack.attacker));
-    switch (attack.kind) {
-      case AttackKind::Blackhole:
-      case AttackKind::UpdateStorm:
-        break;
-      case AttackKind::SelectiveDrop:
-        push_node(elem, "target", attack.drop_target);
-        break;
-      case AttackKind::RandomDrop:
-        push(elem, "mode", to_string(attack.drop_mode));
-        push_num(elem, "probability", attack.drop_probability);
-        push_node(elem, "target", attack.drop_target);
-        if (!attack.drop_data_only) push(elem, "data-only", "false");
-        break;
-      case AttackKind::Impersonation:
-        push_node(elem, "victim", attack.victim);
-        push_node(elem, "target", attack.drop_target);
-        push_num(elem, "rate-pps", attack.forge_rate_pps);
-        break;
-    }
-    push_schedule(elem, attack.schedule);
-    spec.elements.push_back(std::move(elem));
-  }
-  return spec;
-}
-
-std::string spec_to_text(const ScenarioSpec& spec) {
-  const ScenarioConfig& base = spec.base;
-  std::string out;
-  out += "[sim]\n";
-  emit(out, "nodes", std::to_string(base.node_count));
-  emit_num(out, "duration", base.duration);
-  emit_num(out, "sample-interval", base.sample_interval);
-  emit(out, "seed", std::to_string(base.seed));
-  emit(out, "traffic-seed", std::to_string(base.traffic_seed));
-  emit(out, "mobility-seed", std::to_string(base.mobility_seed));
-  out += "\n[mobility]\n";
-  emit_num(out, "width", base.mobility.field_width);
-  emit_num(out, "height", base.mobility.field_height);
-  emit_num(out, "max-speed", base.mobility.max_speed);
-  emit_num(out, "min-speed", base.mobility.min_speed);
-  emit_num(out, "pause", base.mobility.pause_time);
-  out += "\n[channel]\n";
-  emit_num(out, "range", base.channel.range_m);
-  emit_num(out, "bandwidth", base.channel.bandwidth_bps);
-  emit_num(out, "loss-rate", base.channel.loss_rate);
-  emit_num(out, "jitter", base.channel.max_jitter_s);
-  emit(out, "taps", base.channel.promiscuous_taps ? "true" : "false");
-  out += "\n[traffic]\n";
-  emit(out, "connections", std::to_string(base.traffic.max_connections));
-  emit_num(out, "rate-pps", base.traffic.rate_pps);
-  emit(out, "packet-bytes", std::to_string(base.traffic.packet_bytes));
-  emit_num(out, "start-window", base.traffic.start_window);
-  for (const ElementSpec& elem : spec.elements) {
-    out += "\n[element " + elem.type;
-    const std::string& name = elem.name.empty() ? elem.type : elem.name;
-    if (name != elem.type) out += " " + name;
-    out += "]\n";
-    for (const auto& [key, value] : elem.params) emit(out, key, value);
-  }
-  return out;
 }
 
 }  // namespace xfa

@@ -1,12 +1,10 @@
-// ScenarioSpec: the validated element graph a parsed scenario file yields,
-// plus the two canonicalization directions — lowering a graph onto the
-// ScenarioConfig the runner executes, and re-expressing any ScenarioConfig
-// as a graph. Lower(config_to_spec(c)) == c for every config, which is what
-// lets scenario files share the trace cache with registered plans (the cache
-// key is the lowered config's key).
+// ScenarioSpec: the element graph a parsed scenario file yields, and its
+// one-way lowering onto the ScenarioConfig the runner executes. The lowered
+// config is the runtime scenario type, so a scenario file shares the trace
+// cache with a registered plan whenever both lower to the same config (the
+// cache key is the config's key).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -31,13 +29,5 @@ struct ScenarioSpec {
 /// canonical ScenarioConfig. Every failure is an actionable Status; this
 /// path never aborts.
 Result<ScenarioConfig> lower_spec(const ScenarioSpec& spec);
-
-/// The inverse: re-expresses a ScenarioConfig as an element graph whose
-/// lowering reproduces the config exactly (same cache key, same trace).
-ScenarioSpec config_to_spec(const ScenarioConfig& config);
-
-/// Canonical text form, parseable by parse_scenario_text(). Numbers are
-/// printed with max_digits10 precision so every double round-trips exactly.
-std::string spec_to_text(const ScenarioSpec& spec);
 
 }  // namespace xfa

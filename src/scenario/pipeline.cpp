@@ -43,8 +43,7 @@ std::vector<ScenarioConfig> experiment_configs(
     RoutingKind routing, TransportKind transport,
     const ExperimentOptions& raw_options) {
   const ExperimentOptions options =
-      (raw_options.fast || fast_mode_enabled()) ? scaled(raw_options)
-                                                : raw_options;
+      fast_mode_enabled() ? scaled(raw_options) : raw_options;
 
   ScenarioConfig base;
   base.routing = routing;
@@ -74,28 +73,18 @@ std::vector<ScenarioConfig> experiment_configs(
   return configs;
 }
 
-Result<ExperimentData> gather_experiment_checked(
-    RoutingKind routing, TransportKind transport,
-    const ExperimentOptions& raw_options) {
-  const ExperimentOptions options =
-      (raw_options.fast || fast_mode_enabled()) ? scaled(raw_options)
-                                                : raw_options;
-
-  ScenarioConfig base;
-  base.routing = routing;
-  base.transport = transport;
-  base.duration = options.duration;
-
+Result<ExperimentData> gather_inventory_checked(
+    const std::vector<ScenarioConfig>& configs,
+    const ExperimentOptions& options) {
+  XFA_CHECK(!configs.empty()) << "a trace inventory needs a training trace";
   ExperimentData data;
-  data.base_config = base;
-
-  const std::vector<ScenarioConfig> configs =
-      experiment_configs(routing, transport, raw_options);
+  data.base_config = configs.front();
+  data.base_config.seed = ScenarioConfig{}.seed;
 
   // Every trace simulation is an isolated world (see run_scenario_checked),
   // so the whole inventory is schedulable work: submit it all to the shared
-  // pool and assemble results by slot index — the output is identical to
-  // the old serial loop for any pool size. The first failure cancels the
+  // pool and assemble results by slot index — the output is identical to a
+  // serial loop for any pool size. The first failure cancels the
   // not-yet-started simulations.
   std::vector<Result<ScenarioResult>> results(
       configs.size(), Status{StatusCode::kRetryable, "cancelled"});
@@ -125,11 +114,11 @@ Result<ExperimentData> gather_experiment_checked(
   return data;
 }
 
-ExperimentData gather_experiment(RoutingKind routing, TransportKind transport,
-                                 const ExperimentOptions& options) {
-  auto data = gather_experiment_checked(routing, transport, options);
-  XFA_CHECK(data.ok()) << data.status().to_string();
-  return std::move(data.value());
+Result<ExperimentData> gather_experiment_checked(
+    RoutingKind routing, TransportKind transport,
+    const ExperimentOptions& options) {
+  return gather_inventory_checked(
+      experiment_configs(routing, transport, options), options);
 }
 
 Dataset to_dataset(const DiscreteTrace& trace, const FeatureSchema* schema) {
@@ -199,16 +188,6 @@ Result<Detector> train_detector_checked(const RawTrace& train_normal,
       select_threshold(project(calibration_scores, ScoreKind::Probability),
                        options.false_alarm_rate);
   return detector;
-}
-
-Detector train_detector(const RawTrace& train_normal,
-                        const ClassifierFactory& factory,
-                        const DetectorOptions& options,
-                        const RawTrace* threshold_normal) {
-  auto detector =
-      train_detector_checked(train_normal, factory, options, threshold_normal);
-  XFA_CHECK(detector.ok()) << detector.status().to_string();
-  return std::move(detector.value());
 }
 
 ClassifierFactory make_c45_factory() {

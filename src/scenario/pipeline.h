@@ -1,9 +1,11 @@
 // Experiment pipeline: the glue every bench and example shares.
 //
-// gather_experiment() produces the paper's trace inventory for one scenario
-// (one normal training trace, several normal evaluation traces, several
-// attack traces); train_detector() runs Algorithm 1 + threshold selection;
-// score helpers apply Algorithms 2/3 to whole traces.
+// gather_experiment_checked() produces the paper's trace inventory for one
+// scenario (one normal training trace, several normal evaluation traces,
+// several attack traces); train_detector_checked() runs Algorithm 1 +
+// threshold selection; score helpers apply Algorithms 2/3 to whole traces.
+// Callers with no recovery of their own take `.value()`, which aborts with
+// the failure's Status.
 #pragma once
 
 #include <string>
@@ -27,12 +29,10 @@ struct ExperimentOptions {
   SimTime duration = 10000;
   std::uint64_t base_seed = 1000;
   LabelPolicy label_policy = LabelPolicy::OnsetOnwards;
-  /// Fast mode divides duration and all schedule times by 4 (keeps onset
-  /// proportions). Enabled when XFA_FAST=1, see fast_mode_enabled().
-  bool fast = false;
 };
 
-/// True when the environment requests scaled-down experiments (XFA_FAST=1).
+/// True when the environment requests scaled-down experiments (XFA_FAST=1):
+/// experiment_configs() then applies scaled() to its options.
 bool fast_mode_enabled();
 
 /// Canonical options for the paper's mixed-intrusion evaluation (Figures
@@ -45,7 +45,8 @@ ExperimentOptions paper_mixed_options();
 /// type, three 100-second sessions at 2500/5000/7500 s.
 ExperimentOptions paper_single_attack_options(AttackKind kind);
 
-/// Applies the x0.25 fast scaling to a spec's duration and schedules.
+/// Fast mode: divides the duration and all schedule times by 4 (keeps onset
+/// proportions).
 ExperimentOptions scaled(ExperimentOptions options);
 
 /// The exact trace inventory gather_experiment_checked() simulates for one
@@ -67,19 +68,24 @@ struct ExperimentData {
   std::vector<ScenarioSummary> summaries;  // train, then eval, then abnormal
 };
 
-/// Simulates (or loads) the full trace inventory for one scenario,
-/// propagating any scenario failure (after the runner's bounded retries)
-/// instead of aborting. All trace simulations run concurrently on the
-/// shared execution pool (src/exec) — results are assembled by slot, so
-/// the inventory is byte-identical for any pool size — and the first hard
-/// failure cancels the simulations that have not started yet.
+/// Simulates (or loads) a trace inventory laid out like
+/// experiment_configs(): configs[0] (required) is the training trace, the
+/// next `options.normal_eval_traces` are normal evaluation traces, the rest
+/// are attack traces; labels follow `options.label_policy`. Propagates any
+/// scenario failure (after the runner's bounded retries) instead of
+/// aborting. All trace simulations run concurrently on the shared execution
+/// pool (src/exec) — results are assembled by slot, so the inventory is
+/// byte-identical for any pool size — and the first hard failure cancels
+/// the simulations that have not started yet.
+Result<ExperimentData> gather_inventory_checked(
+    const std::vector<ScenarioConfig>& configs,
+    const ExperimentOptions& options);
+
+/// gather_inventory_checked over experiment_configs(routing, transport,
+/// options): the full trace inventory for one scenario.
 Result<ExperimentData> gather_experiment_checked(
     RoutingKind routing, TransportKind transport,
     const ExperimentOptions& options);
-
-/// Abort-on-failure wrapper over gather_experiment_checked.
-ExperimentData gather_experiment(RoutingKind routing, TransportKind transport,
-                                 const ExperimentOptions& options);
 
 /// A trained cross-feature detector: discretizer + L sub-models + the two
 /// thresholds (one per combination rule), selected on the training trace at
@@ -126,12 +132,6 @@ Result<Detector> train_detector_checked(
     const RawTrace& train_normal, const ClassifierFactory& factory,
     const DetectorOptions& options = {},
     const RawTrace* threshold_normal = nullptr);
-
-/// Abort-on-failure wrapper over train_detector_checked.
-Detector train_detector(const RawTrace& train_normal,
-                        const ClassifierFactory& factory,
-                        const DetectorOptions& options = {},
-                        const RawTrace* threshold_normal = nullptr);
 
 /// Converts a discretized trace into the classifier Dataset format.
 Dataset to_dataset(const DiscreteTrace& trace,

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/atomic_file.h"
-#include "common/check.h"
 #include "common/env.h"
 #include "exec/deadline.h"
 #include "exec/single_flight.h"
@@ -325,12 +324,6 @@ Result<ScenarioResult> run_scenario_checked(const ScenarioConfig& config,
   // Labels depend on the caller's policy (not part of the key), so they are
   // applied to this caller's copy after the shared flight resolves.
   apply_labels(result->trace, config, policy);
-  return std::move(*result);
-}
-
-ScenarioResult run_scenario(const ScenarioConfig& config, LabelPolicy policy) {
-  Result<ScenarioResult> result = run_scenario_checked(config, policy);
-  XFA_CHECK(result.ok()) << result.status().to_string();
   return std::move(*result);
 }
 

@@ -72,11 +72,6 @@ Status validate_scenario_result(const ScenarioResult& result);
 Result<ScenarioResult> run_scenario_checked(
     const ScenarioConfig& config, LabelPolicy policy = LabelPolicy::OnsetOnwards);
 
-/// Abort-on-failure wrapper over run_scenario_checked for callers with no
-/// recovery of their own (benches, examples).
-ScenarioResult run_scenario(const ScenarioConfig& config,
-                            LabelPolicy policy = LabelPolicy::OnsetOnwards);
-
 /// Strict cache-only mode for sharded merges (xfa_bench --merge): while set,
 /// run_scenario_checked never simulates — a trace missing from both the
 /// checkpoint journal and the cache is a kNotFound error naming the key,

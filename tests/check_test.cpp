@@ -1,11 +1,15 @@
 // Contract-macro behaviour: XFA_CHECK must stay armed in release builds
 // (this suite runs under NDEBUG in tier-1 CI) and report enough context to
-// debug from the failure line alone.
+// debug from the failure line alone. Result<T>::value() is the checked
+// accessor built on it.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
+#include "common/status.h"
 
 namespace xfa {
 namespace {
@@ -70,6 +74,34 @@ TEST(CheckTest, DcheckMatchesBuildConfiguration) {
 #else
   EXPECT_DEATH(XFA_DCHECK(false), "false");
 #endif
+}
+
+Result<std::unique_ptr<int>> make_owned(int value) {
+  return std::make_unique<int>(value);
+}
+
+TEST(ResultTest, ValueMovesOutOfTemporaries) {
+  // A move-only T can only come out of an rvalue Result by move.
+  const std::unique_ptr<int> owned = make_owned(7).value();
+  ASSERT_NE(owned, nullptr);
+  EXPECT_EQ(*owned, 7);
+  EXPECT_EQ(*(*make_owned(8)), 8);
+
+  // Lvalues still hand out references; std::move(*r) moves explicitly.
+  Result<std::unique_ptr<int>> held = make_owned(9);
+  EXPECT_EQ(*held.value(), 9);
+  EXPECT_EQ(**held, 9);
+  const std::unique_ptr<int> taken = std::move(*held);
+  EXPECT_EQ(*taken, 9);
+  EXPECT_EQ(held.value(), nullptr);
+}
+
+TEST(ResultDeathTest, ValueOfErrorAbortsWithTheStatus) {
+  const auto failing = [] {
+    return Result<std::unique_ptr<int>>(
+        Status{StatusCode::kNotFound, "no such trace"});
+  };
+  EXPECT_DEATH((void)failing().value(), "kNotFound: no such trace");
 }
 
 }  // namespace

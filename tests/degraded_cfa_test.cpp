@@ -103,7 +103,7 @@ class DegradedPipelineTest : public ::testing::Test {
     config.seed = seed;
     config.traffic.max_connections = 8;
     config.faults = benign_chaos();
-    return run_scenario(config).trace;
+    return run_scenario_checked(config).value().trace;
   }
 };
 

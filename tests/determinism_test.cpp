@@ -52,8 +52,8 @@ ScenarioConfig small_config() {
 
 TEST_F(DeterminismTest, SameSeedReproducesByteIdenticalFeatureStream) {
   const ScenarioConfig config = small_config();
-  const ScenarioResult first = run_scenario(config);
-  const ScenarioResult second = run_scenario(config);
+  const ScenarioResult first = run_scenario_checked(config).value();
+  const ScenarioResult second = run_scenario_checked(config).value();
 
   ASSERT_EQ(first.trace.size(), second.trace.size());
   EXPECT_EQ(trace_bytes(first.trace), trace_bytes(second.trace));
@@ -64,8 +64,8 @@ TEST_F(DeterminismTest, SameSeedReproducesByteIdenticalFeatureStream) {
 TEST_F(DeterminismTest, AttackScenarioIsEquallyReproducible) {
   ScenarioConfig config = small_config();
   config.attacks = single_attack_sessions(AttackKind::Blackhole);
-  const ScenarioResult first = run_scenario(config);
-  const ScenarioResult second = run_scenario(config);
+  const ScenarioResult first = run_scenario_checked(config).value();
+  const ScenarioResult second = run_scenario_checked(config).value();
   EXPECT_EQ(trace_bytes(first.trace), trace_bytes(second.trace));
 }
 
@@ -76,8 +76,8 @@ TEST_F(DeterminismTest, FaultPlanChaosIsByteDeterministic) {
   // frame and jittered delivery.
   ScenarioConfig config = small_config();
   config.faults = benign_chaos();
-  const ScenarioResult first = run_scenario(config);
-  const ScenarioResult second = run_scenario(config);
+  const ScenarioResult first = run_scenario_checked(config).value();
+  const ScenarioResult second = run_scenario_checked(config).value();
   EXPECT_EQ(trace_bytes(first.trace), trace_bytes(second.trace));
   EXPECT_EQ(first.summary.scheduler_events, second.summary.scheduler_events);
   EXPECT_EQ(first.summary.channel.fault_corrupted,
@@ -87,19 +87,19 @@ TEST_F(DeterminismTest, FaultPlanChaosIsByteDeterministic) {
 
   // A different fault seed is a different scenario.
   config.faults.fault_seed += 1;
-  const ScenarioResult reseeded = run_scenario(config);
+  const ScenarioResult reseeded = run_scenario_checked(config).value();
   EXPECT_NE(trace_bytes(first.trace), trace_bytes(reseeded.trace));
 
   // And the fault layer left the fault-free path untouched.
-  const ScenarioResult clean = run_scenario(small_config());
+  const ScenarioResult clean = run_scenario_checked(small_config()).value();
   EXPECT_NE(trace_bytes(first.trace), trace_bytes(clean.trace));
 }
 
 TEST_F(DeterminismTest, DifferentSeedsDiverge) {
   ScenarioConfig config = small_config();
-  const ScenarioResult first = run_scenario(config);
+  const ScenarioResult first = run_scenario_checked(config).value();
   config.seed = 43;
-  const ScenarioResult second = run_scenario(config);
+  const ScenarioResult second = run_scenario_checked(config).value();
   EXPECT_NE(trace_bytes(first.trace), trace_bytes(second.trace));
 }
 

@@ -131,11 +131,11 @@ class FaultScenarioTest : public ::testing::Test {
 
 TEST_F(FaultScenarioTest, ChaosReachesTheChannelAndAltersTheTrace) {
   const ScenarioConfig clean = small_config();
-  const ScenarioResult baseline = run_scenario(clean);
+  const ScenarioResult baseline = run_scenario_checked(clean).value();
 
   ScenarioConfig faulty = small_config();
   faulty.faults = benign_chaos();
-  const ScenarioResult chaotic = run_scenario(faulty);
+  const ScenarioResult chaotic = run_scenario_checked(faulty).value();
 
   const ChannelStats& stats = chaotic.summary.channel;
   EXPECT_GT(stats.fault_corrupted, 0u);

@@ -33,11 +33,13 @@ struct PipelineResult {
 PipelineResult run_pipeline(RoutingKind routing, TransportKind transport,
                             const ClassifierFactory& factory) {
   const ExperimentData data =
-      gather_experiment(routing, transport, small_options());
+      gather_experiment_checked(routing, transport, small_options()).value();
   DetectorOptions options;
   options.threads = 1;
-  const Detector detector = train_detector(data.train_normal, factory,
-                                           options, &data.normal_eval[0]);
+  const Detector detector =
+      train_detector_checked(data.train_normal, factory, options,
+                             &data.normal_eval[0])
+          .value();
 
   PipelineResult result;
   std::vector<double> scores;
@@ -95,14 +97,14 @@ TEST(Integration, DsrUdpC45SeparatesAttackWindows) {
 
 TEST(Integration, ThresholdCalibrationBoundsFalseAlarms) {
   const ExperimentData data =
-      gather_experiment(RoutingKind::Aodv, TransportKind::Udp,
-                        small_options());
+      gather_experiment_checked(RoutingKind::Aodv, TransportKind::Udp,
+                                small_options()).value();
   DetectorOptions options;
   options.threads = 1;
   options.false_alarm_rate = 0.05;
   const Detector detector =
-      train_detector(data.train_normal, make_c45_factory(), options,
-                     &data.normal_eval[0]);
+      train_detector_checked(data.train_normal, make_c45_factory(), options,
+                             &data.normal_eval[0]).value();
   // On the calibration trace itself, the realized FAR matches the target.
   std::size_t fa = 0, n = 0;
   for (const EventScore& s : detector.score_trace(data.normal_eval[0])) {
@@ -113,14 +115,16 @@ TEST(Integration, ThresholdCalibrationBoundsFalseAlarms) {
 }
 
 TEST(Integration, DetectorScoresAreReproducible) {
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, small_options());
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, small_options()).value();
   DetectorOptions options;
   options.threads = 1;
   const Detector a =
-      train_detector(data.train_normal, make_c45_factory(), options);
+      train_detector_checked(data.train_normal, make_c45_factory(), options)
+          .value();
   const Detector b =
-      train_detector(data.train_normal, make_c45_factory(), options);
+      train_detector_checked(data.train_normal, make_c45_factory(), options)
+          .value();
   const auto sa = a.score_trace(data.abnormal[0]);
   const auto sb = b.score_trace(data.abnormal[0]);
   ASSERT_EQ(sa.size(), sb.size());
@@ -131,13 +135,14 @@ TEST(Integration, DetectorScoresAreReproducible) {
 }
 
 TEST(Integration, PeriodRestrictedDetectorStillWorks) {
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, small_options());
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, small_options()).value();
   DetectorOptions options;
   options.threads = 1;
   options.periods = {5.0};  // ablation B slice
   const Detector detector =
-      train_detector(data.train_normal, make_c45_factory(), options);
+      train_detector_checked(data.train_normal, make_c45_factory(), options)
+          .value();
   // Set I (8 classifiable topology features) + 44 five-second features,
   // minus whatever columns were constant over this short trace (skipped by
   // graceful degradation and recorded on the model).
@@ -150,8 +155,8 @@ TEST(Integration, PeriodRestrictedDetectorStillWorks) {
 }
 
 TEST(Integration, RegressionVariantSeparatesAttackTrace) {
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, small_options());
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, small_options()).value();
   // Continuous extension: linear-regression sub-models over raw features.
   const FeatureSchema schema = FeatureSchema::standard();
   CrossFeatureRegressionModel model;

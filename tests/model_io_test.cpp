@@ -271,7 +271,8 @@ TEST_F(ModelStoreTest, DetectorRoundTripScoresBitIdentical) {
 
 TEST_F(ModelStoreTest, SaveLoadFileRoundTrip) {
   const RawTrace train = sample_trace(1);
-  const Detector trained = train_detector(train, make_nbc_factory());
+  const Detector trained =
+      train_detector_checked(train, make_nbc_factory()).value();
   ASSERT_TRUE(save_detector(trained, path_).ok());
 
   const Result<Detector> loaded = load_detector(path_);
@@ -297,7 +298,9 @@ DetectorOptions sweep_options() {
 
 TEST_F(ModelStoreTest, TruncationSweepQuarantinesEveryPrefix) {
   const Detector trained =
-      train_detector(sample_trace(1), make_nbc_factory(), sweep_options());
+      train_detector_checked(sample_trace(1), make_nbc_factory(),
+                             sweep_options())
+          .value();
   ASSERT_TRUE(save_detector(trained, path_).ok());
   const std::string bytes = read_file(path_);
   ASSERT_GT(bytes.size(), 0u);
@@ -317,7 +320,9 @@ TEST_F(ModelStoreTest, TruncationSweepQuarantinesEveryPrefix) {
 
 TEST_F(ModelStoreTest, BitFlipSweepQuarantinesEveryByte) {
   const Detector trained =
-      train_detector(sample_trace(1), make_nbc_factory(), sweep_options());
+      train_detector_checked(sample_trace(1), make_nbc_factory(),
+                             sweep_options())
+          .value();
   ASSERT_TRUE(save_detector(trained, path_).ok());
   const std::string bytes = read_file(path_);
 
@@ -360,7 +365,7 @@ TEST_F(ModelStoreTest, HostileLengthFieldsFailSoft) {
   {  // a real detector whose discretizer column count is rewritten huge
      // (offset 12: i32 buckets + f64 gap precede it) with the CRC recomputed
     const Detector trained =
-        train_detector(sample_trace(1), make_nbc_factory());
+        train_detector_checked(sample_trace(1), make_nbc_factory()).value();
     const Result<std::string> payload = serialize_detector(trained);
     ASSERT_TRUE(payload.ok());
     std::string mutated = *payload;
@@ -575,7 +580,8 @@ TEST_F(ModelStoreTest, ForeignMagicIsQuarantined) {
 /// retrain -> re-save -> loads cleanly and scores exactly like the retrain.
 TEST_F(ModelStoreTest, CorruptedModelRecoveredByRetrain) {
   const RawTrace train = sample_trace(1);
-  const Detector first = train_detector(train, make_c45_factory());
+  const Detector first =
+      train_detector_checked(train, make_c45_factory()).value();
   ASSERT_TRUE(save_detector(first, path_).ok());
 
   std::string bytes = read_file(path_);
@@ -588,7 +594,8 @@ TEST_F(ModelStoreTest, CorruptedModelRecoveredByRetrain) {
   EXPECT_TRUE(std::filesystem::exists(path_ + ".corrupt"));
 
   // Retrain (deterministic: same trace, same options) and republish.
-  const Detector retrained = train_detector(train, make_c45_factory());
+  const Detector retrained =
+      train_detector_checked(train, make_c45_factory()).value();
   ASSERT_TRUE(save_detector(retrained, path_).ok());
   const Result<Detector> healed = load_detector(path_);
   ASSERT_TRUE(healed.ok()) << healed.status().to_string();

@@ -108,14 +108,14 @@ TEST(PaperProperties, ScoresAlwaysInUnitIntervalOverWholeTraces) {
   options.attacks[0].schedule.start = 100;
   options.attacks[1].schedule.start = 200;
   options.base_seed = 9900;
-  const ExperimentData data = gather_experiment(
-      RoutingKind::Aodv, TransportKind::Udp, options);
+  const ExperimentData data = gather_experiment_checked(
+      RoutingKind::Aodv, TransportKind::Udp, options).value();
   DetectorOptions detector_options;
   detector_options.threads = 1;
   for (const NamedFactory& classifier : paper_classifiers()) {
     const Detector detector =
-        train_detector(data.train_normal, classifier.factory,
-                       detector_options);
+        train_detector_checked(data.train_normal, classifier.factory,
+                               detector_options).value();
     for (const RawTrace* trace :
          {&data.normal_eval[0], &data.abnormal[0]}) {
       for (const EventScore& s : detector.score_trace(*trace)) {

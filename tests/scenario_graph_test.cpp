@@ -1,8 +1,7 @@
 // Scenario element-graph coverage: parser error paths (every malformed
-// input yields an actionable Status — this layer never aborts), the
-// config<->spec round-trip guarantee (lower(config_to_spec(c)) has c's
-// cache key for every config shape), registry sanity, and a seeded fuzz
-// sweep over generated graphs.
+// input yields an actionable Status — this layer never aborts), registry
+// sanity, and a seeded fuzz sweep of generated scenario files through
+// parse -> lower.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -180,121 +179,26 @@ TEST(ScenarioLoad, MissingFileIsIoErrorNotAbort) {
             std::string::npos);
 }
 
-// --- Config <-> spec round trips --------------------------------------------
-
-/// The equivalence guarantee at the cache-key level: re-expressing `config`
-/// as an element graph, rendering it to text, parsing and lowering must
-/// land on a config with the identical cache key (identical keys imply
-/// identical traces).
-void expect_round_trip(const ScenarioConfig& config) {
-  const ScenarioSpec spec = config_to_spec(config);
-  const Result<ScenarioConfig> direct = lower_spec(spec);
-  ASSERT_TRUE(direct.ok()) << direct.status().to_string();
-  EXPECT_EQ(direct->cache_key(), config.cache_key());
-
-  const std::string text = spec_to_text(spec);
-  const Result<ScenarioSpec> parsed = parse_scenario_text(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string() << "\n" << text;
-  const Result<ScenarioConfig> lowered = lower_spec(*parsed);
-  ASSERT_TRUE(lowered.ok()) << lowered.status().to_string() << "\n" << text;
-  EXPECT_EQ(lowered->cache_key(), config.cache_key()) << text;
-}
-
-TEST(ScenarioRoundTrip, DefaultConfig) { expect_round_trip({}); }
-
-TEST(ScenarioRoundTrip, PaperMixedIntrusion) {
-  ScenarioConfig config;
-  config.seed = 1100;
-  config.attacks = mixed_attacks();
-  expect_round_trip(config);
-
-  config.routing = RoutingKind::Dsr;
-  config.transport = TransportKind::Tcp;
-  expect_round_trip(config);
-}
-
-TEST(ScenarioRoundTrip, EverySingleAttackKind) {
-  for (const AttackKind kind :
-       {AttackKind::Blackhole, AttackKind::SelectiveDrop,
-        AttackKind::UpdateStorm, AttackKind::RandomDrop,
-        AttackKind::Impersonation}) {
-    ScenarioConfig config;
-    config.attacks = single_attack_sessions(kind);
-    expect_round_trip(config);
-  }
-}
-
-TEST(ScenarioRoundTrip, DropModesAndDataOnly) {
-  ScenarioConfig config;
-  AttackSpec drop;
-  drop.kind = AttackKind::RandomDrop;
-  drop.attacker = 4;
-  drop.drop_mode = DropMode::Constant;
-  drop.drop_data_only = false;
-  drop.drop_probability = 0.75;
-  config.attacks.push_back(drop);
-
-  drop.attacker = 6;
-  drop.drop_mode = DropMode::Selective;
-  drop.drop_data_only = true;
-  drop.drop_target = 9;
-  config.attacks.push_back(drop);
-  expect_round_trip(config);
-}
-
-TEST(ScenarioRoundTrip, ImpersonationWithExplicitVictim) {
-  ScenarioConfig config;
-  AttackSpec attack;
-  attack.kind = AttackKind::Impersonation;
-  attack.attacker = 3;
-  attack.victim = 5;
-  attack.forge_rate_pps = 2.5;
-  attack.schedule = ScheduleSpec::session_list({{150, 100}, {400, 50}});
-  config.attacks.push_back(attack);
-  expect_round_trip(config);
-}
-
-TEST(ScenarioRoundTrip, FaultPlanAndNonDefaultWorld) {
-  ScenarioConfig config;
-  config.node_count = 30;
-  config.duration = 1234;
-  config.sample_interval = 2.5;
-  config.seed = 99;
-  config.traffic_seed = 31;
-  config.mobility_seed = 77;
-  config.monitor_node = 3;
-  config.mobility.field_width = 900;
-  config.mobility.max_speed = 17.25;
-  config.channel.loss_rate = 0.015;
-  config.traffic.max_connections = 40;
-  config.traffic.rate_pps = 0.125;
-  config.faults.corruption_rate = 0.02;
-  config.faults.loss_burst_rate_per_s = 0.01;
-  config.faults.loss_burst_duration_s = 8;
-  config.faults.fault_seed = 4242;
-  expect_round_trip(config);
-}
+// --- Generated scenario files ---------------------------------------------
 
 TEST(ScenarioRoundTrip, FuzzedGraphsSurviveTextRoundTrip) {
-  // Seeded sweep: every generated graph must lower, and its rendered text
-  // must parse back onto the same cache key. Failures reproduce from the
-  // seed alone.
+  // Seeded sweep: every generated scenario file must parse and lower, and
+  // the same seed must regenerate the same text, so failures reproduce from
+  // the seed alone.
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
-    const ScenarioSpec spec = random_scenario_spec(rng);
-    const Result<ScenarioConfig> lowered = lower_spec(spec);
-    ASSERT_TRUE(lowered.ok())
-        << "seed " << seed << ": " << lowered.status().to_string();
-
-    const std::string text = spec_to_text(spec);
+    const std::string text = random_scenario_text(rng);
     const Result<ScenarioSpec> parsed = parse_scenario_text(text);
     ASSERT_TRUE(parsed.ok())
-        << "seed " << seed << ": " << parsed.status().to_string();
-    const Result<ScenarioConfig> reparsed = lower_spec(*parsed);
-    ASSERT_TRUE(reparsed.ok())
-        << "seed " << seed << ": " << reparsed.status().to_string();
-    EXPECT_EQ(reparsed->cache_key(), lowered->cache_key())
-        << "seed " << seed << "\n" << text;
+        << "seed " << seed << ": " << parsed.status().to_string() << "\n"
+        << text;
+    const Result<ScenarioConfig> lowered = lower_spec(*parsed);
+    ASSERT_TRUE(lowered.ok())
+        << "seed " << seed << ": " << lowered.status().to_string() << "\n"
+        << text;
+
+    Rng replay(seed);
+    EXPECT_EQ(random_scenario_text(replay), text) << "seed " << seed;
   }
 }
 

@@ -64,12 +64,12 @@ TEST(RunScenarioTest, UpdateStormAndRandomDropRun) {
   config.duration = 120;
   config.attacks = single_attack_sessions(AttackKind::UpdateStorm);
   config.attacks[0].schedule = ScheduleSpec::session_list({{30, 60}});
-  const ScenarioResult storm = run_scenario(config);
+  const ScenarioResult storm = run_scenario_checked(config).value();
   EXPECT_EQ(storm.trace.size(), 24u);
 
   config.attacks = single_attack_sessions(AttackKind::RandomDrop);
   config.attacks[0].schedule = ScheduleSpec::session_list({{30, 60}});
-  const ScenarioResult drop = run_scenario(config);
+  const ScenarioResult drop = run_scenario_checked(config).value();
   EXPECT_EQ(drop.trace.size(), 24u);
 }
 
@@ -157,7 +157,7 @@ TEST(TraceCacheTest, RoundTrip) {
 
 TEST(RunScenarioTest, SmallRunProducesSaneTrace) {
   const ScenarioConfig config = small_config();
-  const ScenarioResult result = run_scenario(config);
+  const ScenarioResult result = run_scenario_checked(config).value();
   const std::size_t expected_samples =
       static_cast<std::size_t>(config.duration / config.sample_interval);
   EXPECT_EQ(result.trace.size(), expected_samples);
@@ -176,8 +176,8 @@ TEST(RunScenarioTest, DeterministicAcrossRuns) {
   config.seed = 99;  // avoid cache interference from other tests
   setenv("XFA_NO_CACHE", "1", 1);
   refresh_env_for_testing();
-  const ScenarioResult a = run_scenario(config);
-  const ScenarioResult b = run_scenario(config);
+  const ScenarioResult a = run_scenario_checked(config).value();
+  const ScenarioResult b = run_scenario_checked(config).value();
   unsetenv("XFA_NO_CACHE");
   refresh_env_for_testing();
   ASSERT_EQ(a.trace.size(), b.trace.size());
@@ -191,7 +191,7 @@ TEST(RunScenarioTest, AttackTraceGetsPositiveLabels) {
   config.attacks = mixed_attacks(/*session=*/20);
   config.attacks[0].schedule = ScheduleSpec::periodic_from(50, 20);
   config.attacks[1].schedule = ScheduleSpec::periodic_from(100, 20);
-  const ScenarioResult result = run_scenario(config);
+  const ScenarioResult result = run_scenario_checked(config).value();
   int positives = 0;
   for (const int label : result.trace.labels) positives += label;
   EXPECT_GT(positives, 0);
@@ -201,7 +201,7 @@ TEST(RunScenarioTest, MonitorNodeIsConfigurable) {
   ScenarioConfig config = small_config();
   config.duration = 100;
   config.monitor_node = 5;
-  const ScenarioResult result = run_scenario(config);
+  const ScenarioResult result = run_scenario_checked(config).value();
   EXPECT_GT(result.summary.monitor_audit_packets, 0u);
 }
 
@@ -209,7 +209,7 @@ TEST(RunScenarioTest, TcpScenarioProducesAckTraffic) {
   ScenarioConfig config = small_config();
   config.transport = TransportKind::Tcp;
   config.duration = 300;
-  const ScenarioResult result = run_scenario(config);
+  const ScenarioResult result = run_scenario_checked(config).value();
   EXPECT_GT(result.summary.data_originated, 0u);
   // ACKs flow back, so delivered counts include both directions; the ratio
   // stays meaningful.
@@ -217,7 +217,7 @@ TEST(RunScenarioTest, TcpScenarioProducesAckTraffic) {
 }
 
 TEST(RunScenarioTest, SummaryChannelCountsAreConsistent) {
-  const ScenarioResult result = run_scenario(small_config());
+  const ScenarioResult result = run_scenario_checked(small_config()).value();
   const ChannelStats& channel = result.summary.channel;
   EXPECT_GT(channel.transmissions, 0u);
   EXPECT_GE(channel.deliveries + channel.random_losses,

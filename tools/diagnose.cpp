@@ -17,9 +17,12 @@ int main(int argc, char** argv) {
   options.base_seed = 9000;
   RoutingKind routing = (argc > 1 && std::string(argv[1]) == "dsr")
                             ? RoutingKind::Dsr : RoutingKind::Aodv;
-  const ExperimentData data = gather_experiment(routing, TransportKind::Udp, options);
-  const Detector det = train_detector(data.train_normal, make_c45_factory(), {},
-                                      &data.normal_eval[0]);
+  const ExperimentData data =
+      gather_experiment_checked(routing, TransportKind::Udp, options).value();
+  const Detector det =
+      train_detector_checked(data.train_normal, make_c45_factory(), {},
+                             &data.normal_eval[0])
+          .value();
   auto show = [&](const char* name, const RawTrace& trace) {
     const auto scores = det.score_trace(trace);
     std::printf("%s:\n  t:      ", name);
