@@ -37,7 +37,7 @@
 //   nbc-train            Naive Bayes fit: one column pass per feature into
 //                        the flattened conditional table.
 //   score-throughput     CrossFeatureModel::score_all over a discrete trace
-//                        (allocation-free predict_dist_into scoring, block-
+//                        (allocation-free predict_dist scoring, block-
 //                        parallel on the shared pool).
 //
 // --quick shrinks the iteration counts so the run doubles as a CI
@@ -46,10 +46,12 @@
 // of serial score() versus parallel score_all()), so a nonzero exit means a
 // real hot-path bug, not a slow machine.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -345,15 +347,20 @@ std::vector<std::size_t> iota_columns(std::size_t n) {
   return columns;
 }
 
-/// Self-check shared by the training kernels: predict_dist_into must agree
-/// bit-for-bit with the allocating predict_dist on every training row.
-void check_predict_paths(const Classifier& classifier, const Dataset& data) {
-  std::vector<double> scratch(16);
+/// Self-check shared by the training kernels: the first and the last fit of
+/// a timing loop over the same view must produce the identical model — the
+/// same describe() rendering and the same distribution on every row.
+void check_refit(const Classifier& first, const Classifier& last,
+                 const Dataset& data) {
+  XFA_CHECK(first.describe({}) == last.describe({}))
+      << first.name() << " refit diverged";
+  std::vector<double> first_scratch(first.label_cardinality());
+  std::vector<double> last_scratch(last.label_cardinality());
   for (const std::vector<int>& row : data.rows) {
-    const std::vector<double> dist = classifier.predict_dist(row);
-    const std::size_t n = classifier.predict_dist_into(row, scratch);
-    XFA_CHECK_EQ(n, dist.size());
-    for (std::size_t v = 0; v < n; ++v) XFA_CHECK(scratch[v] == dist[v]);
+    const std::span<const double> a = first.predict_dist(row, first_scratch);
+    const std::span<const double> b = last.predict_dist(row, last_scratch);
+    XFA_CHECK(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << first.name() << " refit diverged";
   }
 }
 
@@ -365,23 +372,15 @@ void bench_c45_train(bool quick) {
   std::vector<std::size_t> features = iota_columns(40);
   features.pop_back();
 
-  std::string reference;
+  C45 first, last;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
-    C45 tree;
+    C45& tree = i == 0 ? first : last;
     tree.fit(view, features, 39);
     XFA_CHECK_GT(tree.node_count(), 1u) << "degenerate training tree";
-    if (i == 0) reference = tree.describe({});
   }
   report("c45-train", iters * rows, seconds_since(start));
-
-  // Determinism + path equivalence: a fresh fit through the Dataset overload
-  // must produce the identical tree, and both predict paths must agree.
-  C45 tree;
-  tree.fit(data, features, 39);
-  XFA_CHECK(tree.describe({}) == reference)
-      << "Dataset-overload fit diverged from DatasetView fit";
-  check_predict_paths(tree, data);
+  check_refit(first, last, data);
 }
 
 void bench_ripper_train(bool quick) {
@@ -392,20 +391,12 @@ void bench_ripper_train(bool quick) {
   std::vector<std::size_t> features = iota_columns(40);
   features.pop_back();
 
-  std::string reference;
+  Ripper first, last;
   const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    Ripper ripper;
-    ripper.fit(view, features, 39);
-    if (i == 0) reference = ripper.describe({});
-  }
+  for (std::uint64_t i = 0; i < iters; ++i)
+    (i == 0 ? first : last).fit(view, features, 39);
   report("ripper-train", iters * rows, seconds_since(start));
-
-  Ripper ripper;
-  ripper.fit(data, features, 39);
-  XFA_CHECK(ripper.describe({}) == reference)
-      << "Dataset-overload fit diverged from DatasetView fit";
-  check_predict_paths(ripper, data);
+  check_refit(first, last, data);
 }
 
 void bench_nbc_train(bool quick) {
@@ -416,16 +407,12 @@ void bench_nbc_train(bool quick) {
   std::vector<std::size_t> features = iota_columns(40);
   features.pop_back();
 
+  NaiveBayes first, last;
   const auto start = Clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    NaiveBayes nbc;
-    nbc.fit(view, features, 39);
-  }
+  for (std::uint64_t i = 0; i < iters; ++i)
+    (i == 0 ? first : last).fit(view, features, 39);
   report("nbc-train", iters * rows, seconds_since(start));
-
-  NaiveBayes nbc;
-  nbc.fit(data, features, 39);
-  check_predict_paths(nbc, data);
+  check_refit(first, last, data);
 }
 
 void bench_featsel_rank(bool quick) {

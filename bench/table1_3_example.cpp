@@ -92,7 +92,7 @@ struct IllustrativeSubmodel {
 
   /// Probability of the event's true class: the rule probability when the
   /// prediction matches, 1 - probability otherwise (paper §3).
-  double probability_of_truth(const std::array<int, 3>& event) const {
+  double truth_probability(const std::array<int, 3>& event) const {
     const Rule& rule = rule_for(event);
     const int truth = event[static_cast<std::size_t>(label)];
     return rule.predicted == truth ? rule.probability
@@ -160,7 +160,7 @@ int run_plan() {
         double match = 0, prob = 0;
         for (const auto& submodel : submodels) {
           match += submodel.matches(event) ? 1.0 : 0.0;
-          prob += submodel.probability_of_truth(event);
+          prob += submodel.truth_probability(event);
         }
         match /= 3.0;
         prob /= 3.0;

@@ -48,8 +48,8 @@ run_pass() {
     --out="${build_dir}/xfa_lint.sarif" . >/dev/null || true
   echo "=== ${name}: hot-path smoke (simulation + detection kernels) ==="
   # Correctness smoke, not a benchmark: every kernel self-checks (grid vs
-  # brute force, scheduler counters, memoization identity, view-fit vs
-  # Dataset-fit determinism, serial vs parallel score bit-identity) under
+  # brute force, scheduler counters, memoization identity, first-vs-last
+  # refit determinism, serial vs parallel score bit-identity) under
   # XFA_CHECK.
   "${build_dir}/bench/xfa_microbench" --quick
   echo "=== ${name}: scenario-file smoke (element graph, data-only combo) ==="

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/serial.h"
@@ -27,6 +29,23 @@ bool is_constant_column(std::span<const std::int32_t> column) {
 /// Rows scored per parallel_for task: big enough to amortize dispatch,
 /// small enough to load-balance a 2000-row trace across the pool.
 constexpr std::size_t kScoreBlock = 64;
+
+/// What one sub-model C_i says about an event whose f_i(x) is `truth`.
+struct SubmodelReading {
+  int predicted = 0;       // argmax class: Algorithm 2 matches iff == truth
+  double probability = 0;  // p(f_i(x)|x), Algorithm 3; 0 for an unseen value
+};
+
+SubmodelReading read_submodel(const Classifier& submodel,
+                              const std::vector<int>& row, int truth,
+                              std::span<double> scratch) {
+  const std::span<const double> dist = submodel.predict_dist(row, scratch);
+  SubmodelReading reading;
+  reading.predicted = static_cast<int>(argmax(dist));
+  if (truth >= 0 && static_cast<std::size_t>(truth) < dist.size())
+    reading.probability = dist[static_cast<std::size_t>(truth)];
+  return reading;
+}
 
 }  // namespace
 
@@ -142,20 +161,10 @@ EventScore CrossFeatureModel::score_with(const std::vector<int>& row,
   const auto count = static_cast<double>(submodels_.size());
   for (std::size_t i = 0; i < submodels_.size(); ++i) {
     const int truth = row[label_columns_[i]];
-    // Zero-copy for C4.5/RIPPER (cached distributions); NBC writes into the
-    // scratch the span then aliases.
-    const std::span<const double> dist =
-        submodels_[i]->predict_dist_span(row, scratch);
-    const std::size_t classes = dist.size();
-    // Match count (Algorithm 2): does the argmax equal the true value?
-    std::size_t argmax = 0;
-    for (std::size_t v = 1; v < classes; ++v)
-      if (dist[v] > dist[argmax]) argmax = v;
-    if (argmax == static_cast<std::size_t>(truth) && truth >= 0)
-      score.avg_match_count += 1.0;
-    // Probability of the true class (Algorithm 3).
-    if (truth >= 0 && static_cast<std::size_t>(truth) < classes)
-      score.avg_probability += dist[static_cast<std::size_t>(truth)];
+    const SubmodelReading reading =
+        read_submodel(*submodels_[i], row, truth, scratch);
+    if (reading.predicted == truth) score.avg_match_count += 1.0;
+    score.avg_probability += reading.probability;
   }
   score.avg_match_count /= count;
   score.avg_probability /= count;
@@ -181,24 +190,20 @@ std::vector<CrossFeatureModel::SubmodelVerdict> CrossFeatureModel::explain(
     SubmodelVerdict verdict;
     verdict.label_column = label_columns_[i];
     verdict.observed = row[label_columns_[i]];
-    const std::span<const double> dist =
-        submodels_[i]->predict_dist_span(row, scratch);
-    const std::size_t classes = dist.size();
-    std::size_t argmax = 0;
-    for (std::size_t v = 1; v < classes; ++v)
-      if (dist[v] > dist[argmax]) argmax = v;
-    verdict.predicted = static_cast<int>(argmax);
+    const SubmodelReading reading =
+        read_submodel(*submodels_[i], row, verdict.observed, scratch);
+    verdict.predicted = reading.predicted;
     verdict.matched = verdict.predicted == verdict.observed;
-    verdict.probability =
-        verdict.observed >= 0 &&
-                static_cast<std::size_t>(verdict.observed) < classes
-            ? dist[static_cast<std::size_t>(verdict.observed)]
-            : 0.0;
+    verdict.probability = reading.probability;
     verdicts.push_back(verdict);
   }
+  // Label columns are distinct, so this order is total: equally probable
+  // sub-models come out in ascending label column, whatever order they
+  // were trained in.
   std::sort(verdicts.begin(), verdicts.end(),
             [](const SubmodelVerdict& a, const SubmodelVerdict& b) {
-              return a.probability < b.probability;
+              return std::tie(a.probability, a.label_column) <
+                     std::tie(b.probability, b.label_column);
             });
   return verdicts;
 }

@@ -69,12 +69,6 @@ C45::C45(const C45Config& config) : config_(config) {
       << "prune_confidence beyond 0.5 is outside the pessimistic-bound range";
 }
 
-void C45::fit(const Dataset& data,
-              const std::vector<std::size_t>& feature_columns,
-              std::size_t label_column) {
-  fit(DatasetView(data), feature_columns, label_column);
-}
-
 void C45::fit(const DatasetView& view,
               const std::vector<std::size_t>& feature_columns,
               std::size_t label_column) {
@@ -338,24 +332,9 @@ const C45::TreeNode* C45::walk(const std::vector<int>& row) const {
   return node;
 }
 
-std::vector<double> C45::predict_dist(const std::vector<int>& row) const {
-  return walk(row)->dist;
-}
-
-std::size_t C45::predict_dist_into(const std::vector<int>& row,
-                                   std::span<double> out) const {
-  const std::vector<double>& dist = walk(row)->dist;
-  XFA_CHECK_GE(out.size(), dist.size()) << "scoring scratch buffer too small";
-  std::copy(dist.begin(), dist.end(), out.begin());
-  return dist.size();
-}
-
-std::span<const double> C45::predict_dist_span(
+std::span<const double> C45::predict_dist(
     const std::vector<int>& row, std::span<double> /*scratch*/) const {
-  // Zero-copy: the walk ends at a node whose Laplace distribution was cached
-  // at fit time; batch scoring reads it in place.
-  const std::vector<double>& dist = walk(row)->dist;
-  return {dist.data(), dist.size()};
+  return walk(row)->dist;
 }
 
 std::size_t C45::count_nodes(const TreeNode& node) {

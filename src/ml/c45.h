@@ -29,16 +29,12 @@ class C45 final : public Classifier {
  public:
   explicit C45(const C45Config& config = {});
 
-  void fit(const Dataset& data,
-           const std::vector<std::size_t>& feature_columns,
-           std::size_t label_column) override;
   void fit(const DatasetView& view,
            const std::vector<std::size_t>& feature_columns,
            std::size_t label_column) override;
-  std::vector<double> predict_dist(const std::vector<int>& row) const override;
-  std::size_t predict_dist_into(const std::vector<int>& row,
-                                std::span<double> out) const override;
-  std::span<const double> predict_dist_span(
+  /// Zero-copy: the leaf's Laplace distribution cached at fit time;
+  /// `scratch` is unused.
+  std::span<const double> predict_dist(
       const std::vector<int>& row, std::span<double> scratch) const override;
   const char* name() const override { return "C4.5"; }
   std::size_t label_cardinality() const override {

@@ -1,76 +1,12 @@
 #include "ml/dataset.h"
 
-#include <algorithm>
-
-#include "common/check.h"
-#include "common/serial.h"
-#include "ml/dataset_view.h"
+#include <vector>
 
 namespace xfa {
 
-bool Dataset::valid() const {
-  for (const auto& row : rows) {
-    if (row.size() != cardinality.size()) {
-      // valid() is a query: trap in debug builds, report in release.
-      XFA_DCHECK(false) << "row width mismatch";
-      return false;
-    }
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (row[c] < 0 || row[c] >= cardinality[c]) {
-        XFA_DCHECK(false) << "value out of cardinality range";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-Status Classifier::save_state(SerialWriter& out) const {
-  (void)out;
-  return {StatusCode::kInvalidArgument,
-          std::string(name()) + " is not serializable"};
-}
-
-Status Classifier::load_state(SerialReader& in, std::size_t max_columns) {
-  (void)in;
-  (void)max_columns;
-  return {StatusCode::kInvalidArgument,
-          std::string(name()) + " is not serializable"};
-}
-
-void Classifier::fit(const DatasetView& view,
-                     const std::vector<std::size_t>& feature_columns,
-                     std::size_t label_column) {
-  fit(view.source(), feature_columns, label_column);
-}
-
-std::size_t Classifier::predict_dist_into(const std::vector<int>& row,
-                                          std::span<double> out) const {
-  const std::vector<double> dist = predict_dist(row);
-  XFA_CHECK_GE(out.size(), dist.size()) << "scoring scratch buffer too small";
-  std::copy(dist.begin(), dist.end(), out.begin());
-  return dist.size();
-}
-
-std::span<const double> Classifier::predict_dist_span(
-    const std::vector<int>& row, std::span<double> scratch) const {
-  return {scratch.data(), predict_dist_into(row, scratch)};
-}
-
 int Classifier::predict(const std::vector<int>& row) const {
-  const std::vector<double> dist = predict_dist(row);
-  int best = 0;
-  for (std::size_t v = 1; v < dist.size(); ++v)
-    if (dist[v] > dist[best]) best = static_cast<int>(v);
-  return best;
-}
-
-double Classifier::probability_of(const std::vector<int>& row,
-                                  int class_value) const {
-  const std::vector<double> dist = predict_dist(row);
-  if (class_value < 0 || static_cast<std::size_t>(class_value) >= dist.size())
-    return 0.0;
-  return dist[static_cast<std::size_t>(class_value)];
+  std::vector<double> scratch(label_cardinality());
+  return static_cast<int>(argmax(predict_dist(row, scratch)));
 }
 
 std::vector<double> laplace_distribution(const std::vector<double>& counts) {
@@ -83,14 +19,11 @@ std::vector<double> laplace_distribution(const std::vector<double>& counts) {
   return dist;
 }
 
-void laplace_distribution_into(std::span<const double> counts,
-                               std::span<double> out) {
-  XFA_CHECK_GE(out.size(), counts.size()) << "scoring scratch buffer too small";
-  double total = 0;
-  for (const double c : counts) total += c;
-  const double denominator = total + static_cast<double>(counts.size());
-  for (std::size_t v = 0; v < counts.size(); ++v)
-    out[v] = (counts[v] + 1.0) / denominator;
+std::size_t argmax(std::span<const double> dist) {
+  std::size_t best = 0;
+  for (std::size_t v = 1; v < dist.size(); ++v)
+    if (dist[v] > dist[best]) best = v;
+  return best;
 }
 
 }  // namespace xfa

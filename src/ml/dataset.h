@@ -18,8 +18,8 @@ class SerialReader;
 class SerialWriter;
 
 /// A table of nominal (bucket-indexed) values. Every classifier consumes
-/// this; which column acts as the label is chosen per fit() call, which is
-/// exactly what cross-feature analysis needs.
+/// it through a DatasetView; which column acts as the label is chosen per
+/// fit() call, which is exactly what cross-feature analysis needs.
 struct Dataset {
   std::vector<std::vector<int>> rows;  // row-major
   std::vector<int> cardinality;        // per column: values are [0, card)
@@ -27,10 +27,6 @@ struct Dataset {
 
   std::size_t size() const { return rows.size(); }
   std::size_t columns() const { return cardinality.size(); }
-
-  /// Validates invariants (row widths, value ranges). Aborts in debug builds
-  /// on violation; returns false in release builds.
-  bool valid() const;
 };
 
 /// Supervised classifier over nominal features with probabilistic output.
@@ -38,70 +34,46 @@ class Classifier {
  public:
   virtual ~Classifier() = default;
 
-  /// Trains to predict `data.rows[*][label_column]` from `feature_columns`.
-  /// `feature_columns` must not contain `label_column`.
-  virtual void fit(const Dataset& data,
+  /// Trains to predict column `label_column` of `view` from
+  /// `feature_columns`, which must not contain `label_column`. The
+  /// cross-feature model builds one view and shares it across all L
+  /// sub-model fits.
+  virtual void fit(const DatasetView& view,
                    const std::vector<std::size_t>& feature_columns,
                    std::size_t label_column) = 0;
 
-  /// Column-major fast path: trains from a prebuilt DatasetView (the
-  /// cross-feature model builds one view and shares it across all L
-  /// sub-model fits). The default delegates to the row-major fit on
-  /// `view.source()`; the in-tree classifiers override it with cache-linear
-  /// column scans. Both paths produce bit-identical models.
-  virtual void fit(const DatasetView& view,
-                   const std::vector<std::size_t>& feature_columns,
-                   std::size_t label_column);
+  /// p(l|x) over the label's value space for a full-width row (the
+  /// classifier reads only its feature columns) — the p(f_i(x)|x) of
+  /// Algorithm 3. The span either points at state cached at fit time (C4.5
+  /// leaves, RIPPER rules) or aliases `scratch` after writing into it (NBC),
+  /// so `scratch` must be at least label_cardinality() wide; callers size
+  /// one buffer and reuse it per row. Valid until the next fit/load on this
+  /// classifier or the next write to `scratch`.
+  virtual std::span<const double> predict_dist(
+      const std::vector<int>& row, std::span<double> scratch) const = 0;
 
-  /// Probability distribution over the label's value space, for a full-width
-  /// row (the classifier reads only its feature columns).
-  virtual std::vector<double> predict_dist(
-      const std::vector<int>& row) const = 0;
-
-  /// Allocation-free scoring: writes the distribution into the front of
-  /// `out` and returns the number of classes written. `out` must be at
-  /// least label-cardinality wide (the cross-feature model sizes one
-  /// scratch buffer to the widest sub-model and reuses it per row). The
-  /// default shim calls predict_dist() and copies; overrides produce values
-  /// bit-identical to predict_dist().
-  virtual std::size_t predict_dist_into(const std::vector<int>& row,
-                                        std::span<double> out) const;
-
-  /// Zero-copy flavour of predict_dist_into: returns a view of the
-  /// distribution, which either aliases `scratch` (after writing into it) or
-  /// points at state cached inside the classifier at fit time — C4.5 and
-  /// RIPPER return their cached per-leaf/per-rule distributions without
-  /// copying. Valid only until the next call on this classifier or the next
-  /// write to `scratch`. Values are bit-identical to predict_dist().
-  virtual std::span<const double> predict_dist_span(
-      const std::vector<int>& row, std::span<double> scratch) const;
-
-  /// Most probable class.
+  /// Most probable class (argmax of predict_dist).
   int predict(const std::vector<int>& row) const;
-
-  /// Estimated probability of a specific class value — the p(f_i(x)|x) used
-  /// by Algorithm 3.
-  double probability_of(const std::vector<int>& row, int class_value) const;
 
   virtual const char* name() const = 0;
 
-  /// Width of the label's value space for the fitted model; 0 before fit
-  /// (or for classifiers that do not track it). The cross-feature model
-  /// sizes its scoring scratch from this after deserialization.
-  virtual std::size_t label_cardinality() const { return 0; }
+  /// Width of the label's value space for the fitted model; 0 before fit.
+  /// The cross-feature model sizes its scoring scratch from this after
+  /// deserialization.
+  virtual std::size_t label_cardinality() const = 0;
 
   /// Serializes the fitted state into `out` so that load_state() on a
   /// default-configured instance restores a classifier whose every
-  /// predict_*/describe() output is bit-identical. Default: the classifier
-  /// is not serializable (kInvalidArgument). Persisted via the XFAMDL1
-  /// artifact format, see ml/model_io.h.
-  virtual Status save_state(SerialWriter& out) const;
+  /// predict_dist/describe() output is bit-identical; kInvalidArgument
+  /// before fit. Persisted via the XFAMDL1 artifact format, see
+  /// ml/model_io.h.
+  virtual Status save_state(SerialWriter& out) const = 0;
 
   /// Restores state written by save_state(). Every stored column index is
   /// validated against `max_columns` (the row width predict will be handed)
   /// and every internal size invariant is re-checked, so a hostile payload
   /// yields kCorruptArtifact — never an abort or out-of-bounds access.
-  virtual Status load_state(SerialReader& in, std::size_t max_columns);
+  virtual Status load_state(SerialReader& in, std::size_t max_columns) = 0;
 
   /// Human-readable rendering of the fitted model (the paper: "the resulting
   /// model is fairly easy to comprehend and can be examined by human
@@ -121,10 +93,8 @@ using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
 /// Utility: Laplace-smoothed distribution from raw class counts.
 std::vector<double> laplace_distribution(const std::vector<double>& counts);
 
-/// In-place flavour for reused scratch buffers; writes counts.size() values
-/// into the front of `out` (which must be at least that wide). Arithmetic is
-/// identical to laplace_distribution.
-void laplace_distribution_into(std::span<const double> counts,
-                               std::span<double> out);
+/// Index of the largest probability (the first one on ties): the class a
+/// distribution predicts.
+std::size_t argmax(std::span<const double> dist);
 
 }  // namespace xfa

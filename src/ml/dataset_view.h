@@ -8,8 +8,9 @@
 // shared by all L sub-model fits) and hands out cache-linear `std::span`s.
 //
 // The view copies values (int32, column-major) and keeps a pointer to the
-// source Dataset so code that still needs the row-major layout (the default
-// Classifier::fit shim) can reach it. It must not outlive the Dataset.
+// source Dataset so code that still needs the row-major layout (the
+// submodel-accuracy ranker scores whole held-out rows) can reach it. It
+// must not outlive the Dataset.
 #pragma once
 
 #include <cstdint>

@@ -10,12 +10,6 @@
 
 namespace xfa {
 
-void NaiveBayes::fit(const Dataset& data,
-                     const std::vector<std::size_t>& feature_columns,
-                     std::size_t label_column) {
-  fit(DatasetView(data), feature_columns, label_column);
-}
-
 void NaiveBayes::fit(const DatasetView& view,
                      const std::vector<std::size_t>& feature_columns,
                      std::size_t label_column) {
@@ -77,11 +71,12 @@ void NaiveBayes::fit(const DatasetView& view,
   }
 }
 
-std::size_t NaiveBayes::predict_dist_into(const std::vector<int>& row,
-                                          std::span<double> out) const {
+std::span<const double> NaiveBayes::predict_dist(
+    const std::vector<int>& row, std::span<double> scratch) const {
   XFA_CHECK(!class_counts_.empty()) << "predict before fit";
   const std::size_t classes = class_counts_.size();
-  XFA_CHECK_GE(out.size(), classes) << "scoring scratch buffer too small";
+  XFA_CHECK_GE(scratch.size(), classes) << "scoring scratch buffer too small";
+  const std::span<double> out = scratch.first(classes);
   // Work in log space to avoid underflow across ~140 factors; `out` holds
   // the log scores, then is normalized in place. All log terms were
   // precomputed at fit time, so this is a pure table walk.
@@ -96,23 +91,14 @@ std::size_t NaiveBayes::predict_dist_into(const std::vector<int>& row,
     }
   }
   // Normalize: p(l_i|x) = n(l_i|x) / sum_k n(l_k|x).
-  const double max_log =
-      *std::max_element(out.begin(), out.begin() + classes);
+  const double max_log = *std::max_element(out.begin(), out.end());
   double sum = 0;
   for (std::size_t c = 0; c < classes; ++c) {
     out[c] = std::exp(out[c] - max_log);
     sum += out[c];
   }
   for (std::size_t c = 0; c < classes; ++c) out[c] /= sum;
-  return classes;
-}
-
-std::vector<double> NaiveBayes::predict_dist(
-    const std::vector<int>& row) const {
-  XFA_CHECK(!class_counts_.empty()) << "predict before fit";
-  std::vector<double> dist(class_counts_.size());
-  predict_dist_into(row, dist);
-  return dist;
+  return out;
 }
 
 Status NaiveBayes::save_state(SerialWriter& out) const {

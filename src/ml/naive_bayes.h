@@ -16,15 +16,13 @@ namespace xfa {
 
 class NaiveBayes final : public Classifier {
  public:
-  void fit(const Dataset& data,
-           const std::vector<std::size_t>& feature_columns,
-           std::size_t label_column) override;
   void fit(const DatasetView& view,
            const std::vector<std::size_t>& feature_columns,
            std::size_t label_column) override;
-  std::vector<double> predict_dist(const std::vector<int>& row) const override;
-  std::size_t predict_dist_into(const std::vector<int>& row,
-                                std::span<double> out) const override;
+  /// Writes the normalized scores into the front of `scratch` and returns a
+  /// span over them.
+  std::span<const double> predict_dist(
+      const std::vector<int>& row, std::span<double> scratch) const override;
   const char* name() const override { return "NBC"; }
   std::size_t label_cardinality() const override {
     return class_counts_.size();

@@ -51,12 +51,6 @@ bool Ripper::matches_view(const Rule& rule, const DatasetView& view,
   return true;
 }
 
-void Ripper::fit(const Dataset& data,
-                 const std::vector<std::size_t>& feature_columns,
-                 std::size_t label_column) {
-  fit(DatasetView(data), feature_columns, label_column);
-}
-
 void Ripper::fit(const DatasetView& view,
                  const std::vector<std::size_t>& feature_columns,
                  std::size_t label_column) {
@@ -336,35 +330,12 @@ std::string Ripper::describe(
   return out;
 }
 
-std::vector<double> Ripper::predict_dist(const std::vector<int>& row) const {
+std::span<const double> Ripper::predict_dist(
+    const std::vector<int>& row, std::span<double> /*scratch*/) const {
   XFA_CHECK(label_cardinality_ > 0) << "predict before fit";
   for (const Rule& rule : rules_)
     if (matches(rule, row)) return rule.dist;
   return default_dist_;
-}
-
-std::size_t Ripper::predict_dist_into(const std::vector<int>& row,
-                                      std::span<double> out) const {
-  XFA_CHECK(label_cardinality_ > 0) << "predict before fit";
-  const std::vector<double>* dist = &default_dist_;
-  for (const Rule& rule : rules_) {
-    if (matches(rule, row)) {
-      dist = &rule.dist;
-      break;
-    }
-  }
-  XFA_CHECK_GE(out.size(), dist->size()) << "scoring scratch buffer too small";
-  std::copy(dist->begin(), dist->end(), out.begin());
-  return dist->size();
-}
-
-std::span<const double> Ripper::predict_dist_span(
-    const std::vector<int>& row, std::span<double> /*scratch*/) const {
-  XFA_CHECK(label_cardinality_ > 0) << "predict before fit";
-  // Zero-copy: rule and default distributions were cached at fit time.
-  for (const Rule& rule : rules_)
-    if (matches(rule, row)) return {rule.dist.data(), rule.dist.size()};
-  return {default_dist_.data(), default_dist_.size()};
 }
 
 Status Ripper::save_state(SerialWriter& out) const {

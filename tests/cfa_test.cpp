@@ -247,6 +247,32 @@ TEST(CrossFeature, ExplainRanksDeviatingFeaturesFirst) {
   EXPECT_LE(verdicts[1].probability, verdicts[2].probability);
 }
 
+TEST(CrossFeature, ExplainBreaksProbabilityTiesByLabelColumn) {
+  // Three identical columns: on a consistent row every sub-model lands in
+  // the same-count leaf, so all three probabilities tie exactly. Ties come
+  // out in ascending label column, whatever order the sub-models were
+  // trained in.
+  Rng rng(15);
+  Dataset data;
+  data.cardinality = {4, 4, 4};
+  for (int i = 0; i < 400; ++i) {
+    const int v = static_cast<int>(rng.uniform_int(4));
+    data.rows.push_back({v, v, v});
+  }
+  for (const std::vector<std::size_t>& order :
+       {std::vector<std::size_t>{0, 1, 2}, std::vector<std::size_t>{2, 0, 1}}) {
+    CrossFeatureModel model;
+    ASSERT_TRUE(model.train(data, order, c45(), 1).ok());
+    const auto verdicts = model.explain({1, 1, 1});
+    ASSERT_EQ(verdicts.size(), 3u);
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      EXPECT_EQ(verdicts[i].label_column, i);
+      EXPECT_TRUE(verdicts[i].matched);
+      EXPECT_EQ(verdicts[i].probability, verdicts[0].probability);
+    }
+  }
+}
+
 TEST(CrossFeatureDeathTest, RejectsRowNarrowerThanTrainedSchema) {
   // A truncated event row would index past its end inside every sub-model;
   // the schema-width contract fires before any out-of-bounds read.

@@ -13,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,7 +126,7 @@ TEST(ModelIoTest, ClassifierRoundTripIsBitIdentical) {
   const Dataset data = sample_dataset();
   const std::vector<std::size_t> features = {0, 1, 2};
   for (const auto& original : all_classifiers()) {
-    original->fit(data, features, 3);
+    original->fit(DatasetView(data), features, 3);
 
     std::string payload;
     SerialWriter writer(payload);
@@ -140,10 +141,17 @@ TEST(ModelIoTest, ClassifierRoundTripIsBitIdentical) {
     EXPECT_STREQ((*loaded)->name(), original->name());
     EXPECT_EQ((*loaded)->label_cardinality(), original->label_cardinality());
 
+    // Separate scratches: NBC's spans alias the buffer they are handed.
+    std::vector<double> want_scratch(original->label_cardinality());
+    std::vector<double> got_scratch(original->label_cardinality());
     for (const std::vector<int>& row : data.rows) {
-      const std::vector<double> want = original->predict_dist(row);
-      const std::vector<double> got = (*loaded)->predict_dist(row);
-      ASSERT_EQ(got, want) << original->name();  // exact doubles, no epsilon
+      const std::span<const double> want =
+          original->predict_dist(row, want_scratch);
+      const std::span<const double> got =
+          (*loaded)->predict_dist(row, got_scratch);
+      ASSERT_EQ(got.size(), want.size()) << original->name();
+      for (std::size_t v = 0; v < want.size(); ++v)  // exact doubles
+        ASSERT_EQ(got[v], want[v]) << original->name() << " class " << v;
     }
     EXPECT_EQ((*loaded)->describe(data.names), original->describe(data.names))
         << original->name();
@@ -178,7 +186,7 @@ TEST(ModelIoTest, UnknownClassifierNameIsCorrupt) {
 TEST(ModelIoTest, ClassifierPayloadTruncationSweepFailsSoft) {
   const Dataset data = sample_dataset();
   for (const auto& original : all_classifiers()) {
-    original->fit(data, {0, 1, 2}, 3);
+    original->fit(DatasetView(data), {0, 1, 2}, 3);
     std::string payload;
     SerialWriter writer(payload);
     ASSERT_TRUE(save_classifier(*original, writer).ok());
@@ -201,7 +209,7 @@ TEST(ModelIoTest, ClassifierPayloadTruncationSweepFailsSoft) {
 TEST(ModelIoTest, OutOfRangeColumnIndexIsCorrupt) {
   const Dataset data = sample_dataset();
   for (const auto& original : all_classifiers()) {
-    original->fit(data, {0, 1, 2}, 3);
+    original->fit(DatasetView(data), {0, 1, 2}, 3);
     std::string payload;
     SerialWriter writer(payload);
     ASSERT_TRUE(save_classifier(*original, writer).ok());

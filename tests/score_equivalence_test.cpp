@@ -1,12 +1,11 @@
-// Equivalence tests for the detection-pipeline hot paths: the column-major
-// DatasetView fit, the allocation-free predict_dist_into scoring path, and
-// the block-parallel score_all must all be bit-identical to the simple
-// row-major / allocating / serial formulations they replaced.
+// Pins for the detection-pipeline hot paths: the column-major DatasetView
+// mirrors its row-major source, the block-parallel score_all is
+// bit-identical to serial per-row scoring, and fixed-seed fits of all three
+// classifier families reproduce golden models and distributions exactly.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "cfa/model.h"
@@ -57,10 +56,6 @@ ClassifierFactory factory_for(int kind) {
   }
 }
 
-std::unique_ptr<Classifier> classifier_for(int kind) {
-  return factory_for(kind)();
-}
-
 /// Restores the default shared-pool size even when an assertion fails.
 struct PoolGuard {
   ~PoolGuard() { resize_shared_pool(0); }
@@ -86,64 +81,9 @@ TEST(DatasetViewTest, ColumnsMirrorRowMajorSource) {
   EXPECT_EQ(view.max_cardinality(), max_card);
 }
 
-// -- Fit-path equivalence (row-major Dataset vs column-major view) ---------
+// -- Scoring equivalence (serial vs block-parallel) ------------------------
 
 class FamilyParamTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FamilyParamTest, ViewFitMatchesDatasetFit) {
-  const Dataset data = correlated_dataset(300, 16, 23);
-  const DatasetView view(data);
-  std::vector<std::size_t> features = iota_columns(16);
-  features.pop_back();
-
-  const auto via_dataset = classifier_for(GetParam());
-  via_dataset->fit(data, features, 15);
-  const auto via_view = classifier_for(GetParam());
-  via_view->fit(view, features, 15);
-
-  EXPECT_EQ(via_dataset->describe({}), via_view->describe({}));
-  for (const auto& row : data.rows) {
-    const auto a = via_dataset->predict_dist(row);
-    const auto b = via_view->predict_dist(row);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t v = 0; v < a.size(); ++v)
-      EXPECT_EQ(a[v], b[v]) << "class " << v;  // bitwise, not approximate
-  }
-}
-
-TEST_P(FamilyParamTest, PredictDistIntoMatchesPredictDist) {
-  const Dataset data = correlated_dataset(300, 16, 29);
-  std::vector<std::size_t> features = iota_columns(16);
-  features.pop_back();
-  const auto classifier = classifier_for(GetParam());
-  classifier->fit(data, features, 15);
-
-  std::vector<double> scratch(32, -1.0);
-  for (const auto& row : data.rows) {
-    const std::vector<double> dist = classifier->predict_dist(row);
-    const std::size_t n = classifier->predict_dist_into(row, scratch);
-    ASSERT_EQ(n, dist.size());
-    for (std::size_t v = 0; v < n; ++v) EXPECT_EQ(scratch[v], dist[v]);
-  }
-}
-
-TEST_P(FamilyParamTest, PredictDistSpanMatchesPredictDist) {
-  const Dataset data = correlated_dataset(300, 16, 29);
-  std::vector<std::size_t> features = iota_columns(16);
-  features.pop_back();
-  const auto classifier = classifier_for(GetParam());
-  classifier->fit(data, features, 15);
-
-  // The zero-copy span (aliasing the scratch or fit-time cached state) must
-  // carry exactly the doubles the allocating path returns.
-  std::vector<double> scratch(32, -1.0);
-  for (const auto& row : data.rows) {
-    const std::vector<double> dist = classifier->predict_dist(row);
-    const std::span<const double> view = classifier->predict_dist_span(row, scratch);
-    ASSERT_EQ(view.size(), dist.size());
-    for (std::size_t v = 0; v < view.size(); ++v) EXPECT_EQ(view[v], dist[v]);
-  }
-}
 
 TEST_P(FamilyParamTest, ScoreAllBitIdenticalAcrossThreadCounts) {
   const Dataset data = correlated_dataset(200, 12, 31);
@@ -173,13 +113,15 @@ TEST_P(FamilyParamTest, ScoreAllBitIdenticalAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyParamTest,
                          ::testing::Values(0, 1, 2));
 
-// -- Golden tree -----------------------------------------------------------
-
-// Pins the exact C4.5 tree grown from a fixed seed through the DatasetView
-// fit path: any accidental change to candidate evaluation order, the
-// stable partition, or the pruning arithmetic shows up as a diff here
+// -- Golden models ---------------------------------------------------------
+//
+// Fixed-seed fits pinned to the exact models and doubles they produce: any
+// accidental change to candidate evaluation order, partitioning, the RIPPER
+// shuffle, the pruning arithmetic or the smoothing shows up as a diff here
 // before it can silently shift every figure downstream.
-TEST(C45GoldenTest, FixedSeedTreeIsStable) {
+
+/// 120 rows whose label copies f0 90% of the time, plus a noise column.
+Dataset noisy_copy_dataset() {
   Dataset data;
   data.cardinality = {3, 2, 3};  // f0, noise, label
   Rng rng(5);
@@ -189,13 +131,58 @@ TEST(C45GoldenTest, FixedSeedTreeIsStable) {
         rng.chance(0.9) ? f0 : static_cast<int>(rng.uniform_int(3));
     data.rows.push_back({f0, static_cast<int>(rng.uniform_int(2)), label});
   }
+  return data;
+}
+
+TEST(C45GoldenTest, FixedSeedTreeIsStable) {
+  const Dataset data = noisy_copy_dataset();
   C45 tree;
-  tree.fit(data, {0, 1}, 2);
+  tree.fit(DatasetView(data), {0, 1}, 2);
   EXPECT_EQ(tree.describe({"f0", "noise"}),
             "split on f0\n"
             "  = 0: -> class 0  (40/42)\n"
             "  = 1: -> class 1  (34/37)\n"
             "  = 2: -> class 2  (38/41)\n");
+}
+
+TEST(RipperGoldenTest, FixedSeedRuleListIsStable) {
+  const Dataset data = correlated_dataset(300, 8, 23);
+  std::vector<std::size_t> features = iota_columns(8);
+  features.pop_back();
+  Ripper ripper;
+  ripper.fit(DatasetView(data), features, 7);
+  EXPECT_EQ(ripper.describe({}),
+            "IF f4=1 AND f6=1 AND f1=1 THEN class 1  (10/11)\n"
+            "IF f5=1 AND f6=1 THEN class 1  (27/36)\n"
+            "IF f4=1 AND f5=1 THEN class 1  (5/10)\n"
+            "IF f6=1 AND f5=3 AND f0=2 THEN class 1  (1/1)\n"
+            "IF f0=4 AND f2=1 THEN class 1  (1/1)\n"
+            "IF f4=0 AND f5=0 THEN class 0  (31/38)\n"
+            "IF f6=0 AND f0=3 THEN class 0  (4/4)\n"
+            "IF f6=0 AND f4=0 THEN class 0  (7/8)\n"
+            "IF f4=4 AND f6=4 AND f0=0 THEN class 4  (9/10)\n"
+            "IF f6=4 AND f0=2 AND f2=2 THEN class 4  (11/11)\n"
+            "IF f4=4 AND f1=3 THEN class 4  (8/8)\n"
+            "IF f4=4 AND f2=0 THEN class 4  (6/7)\n"
+            "IF f4=4 AND f2=2 THEN class 4  (5/7)\n"
+            "IF f5=2 AND f6=2 AND f1=0 THEN class 2  (12/12)\n"
+            "IF f5=2 AND f6=2 THEN class 2  (28/33)\n"
+            "IF f5=2 THEN class 2  (9/15)\n"
+            "IF f3=0 AND f5=4 THEN class 2  (2/3)\n"
+            "ELSE class 3\n");
+}
+
+TEST(NaiveBayesGoldenTest, FixedSeedDistributionIsStable) {
+  const Dataset data = noisy_copy_dataset();
+  NaiveBayes nbc;
+  nbc.fit(DatasetView(data), {0, 1}, 2);
+  std::vector<double> scratch(3);
+  const std::span<const double> dist = nbc.predict_dist({1, 0, -1}, scratch);
+  ASSERT_EQ(dist.size(), 3u);
+  // Bitwise: hex literals are the exact doubles, not approximations.
+  EXPECT_EQ(dist[0], 0x1.79fe8a557c001p-5);
+  EXPECT_EQ(dist[1], 0x1.c43f78ea4ee49p-1);
+  EXPECT_EQ(dist[2], 0x1.2104f382cadafp-4);
 }
 
 }  // namespace

@@ -186,13 +186,6 @@ TEST(Rules, HoistOrGrid) {
                      "hoist-or-grid"));
 }
 
-TEST(Rules, ScratchScoring) {
-  EXPECT_TRUE(fired(rules_fired("cfa/score.cpp", "scratch_pos.cpp"),
-                    "scratch-scoring"));
-  EXPECT_FALSE(fired(rules_fired("cfa/score.cpp", "scratch_neg.cpp"),
-                     "scratch-scoring"));
-}
-
 TEST(Rules, StatusNotAbort) {
   EXPECT_TRUE(fired(rules_fired("scenario/loader.cpp", "status_pos.cpp"),
                     "status-not-abort"));

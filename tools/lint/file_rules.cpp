@@ -163,7 +163,7 @@ void rule_exec_only_threads(const Ctx& c) {
   }
 }
 
-// --- loop tracking shared by hoist-or-grid / scratch-scoring ---------------
+// --- loop tracking shared by hoist-or-grid / fused-mi ----------------------
 
 /// Calls `visit(ci, in_loop)` for every code token, where in_loop covers
 /// both loop bodies (brace-tracked) and loop headers (`for (...)` before
@@ -237,22 +237,6 @@ void rule_fused_mi(const Ctx& c) {
              "once with rank_features (ml/feature_select.h) — its fused "
              "counting pass computes every pairwise MI with memoized logs — "
              "and reuse the FeatureRanking");
-  });
-}
-
-// --- scratch-scoring -------------------------------------------------------
-
-void rule_scratch_scoring(const Ctx& c) {
-  if (!starts_with(c.f.rel, "cfa/")) return;
-  walk_loops(c, [&c](std::size_t i, bool in_loop) {
-    // predict_dist_into / predict_dist_span are different identifier
-    // tokens, so the scratch-buffer path never matches.
-    if (!in_loop || !c.is_ident(i, "predict_dist")) return;
-    if (i + 1 >= c.code.size() || !c.is_punct(i + 1, "(")) return;
-    c.report(i, "scratch-scoring",
-             "allocating predict_dist call in a src/cfa loop; use "
-             "predict_dist_into with a reused scratch buffer so batched "
-             "scoring stays allocation-free");
   });
 }
 
@@ -503,7 +487,6 @@ void run_file_rules(const SourceFile& file, std::vector<Finding>& out) {
   rule_exec_only_threads(c);
   rule_hoist_or_grid(c);
   rule_fused_mi(c);
-  rule_scratch_scoring(c);
   rule_status_not_abort(c, includes);
   rule_element_registry(c);
   rule_atomic_write(c);

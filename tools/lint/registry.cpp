@@ -110,13 +110,6 @@ const std::vector<RuleInfo>& rule_registry() {
        "so identical scenario seeds reproduce traces byte-for-byte; raw "
        "entropy or wall-clock input anywhere else silently forks the "
        "stream."},
-      {"scratch-scoring",
-       "no allocating predict_dist() inside src/cfa loop bodies",
-       "src/cfa, loops",
-       "Batched scoring is the detection hot path and must stay "
-       "allocation-free: predict_dist() materializes a fresh vector per "
-       "(row, sub-model) pair; use predict_dist_into with a reused scratch "
-       "buffer (ml/dataset.h)."},
       {"status-not-abort",
        "scenario TUs that do file I/O must not XFA_CHECK",
        "src/scenario TUs including <fstream>/<filesystem>/<cstdio>",
