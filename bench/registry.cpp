@@ -1,14 +1,15 @@
 #include "bench/registry.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
 #include "common/crc64.h"
+#include "common/parse.h"
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "scenario/checkpoint.h"
@@ -57,31 +58,17 @@ int print_usage(const char* argv0) {
   return 2;
 }
 
-/// Parses the integer suffix of "--threads=N"; aborts the CLI on garbage.
-bool parse_threads(const std::string& value, std::size_t* threads) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *threads = static_cast<std::size_t>(parsed);
-  return true;
-}
-
 /// Parses "K/N" from "--shard=K/N": K is the 0-based worker index, N the
-/// worker count. Rejects K >= N and N == 0.
+/// worker count, both digits only. Rejects K >= N and N == 0.
 bool parse_shard(const std::string& value, std::size_t* index,
                  std::size_t* count) {
   const std::size_t slash = value.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 == value.size())
-    return false;
-  char* end = nullptr;
-  const unsigned long k = std::strtoul(value.c_str(), &end, 10);
-  if (end != value.c_str() + slash) return false;
-  const unsigned long n = std::strtoul(value.c_str() + slash + 1, &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  if (n == 0 || k >= n) return false;
-  *index = static_cast<std::size_t>(k);
-  *count = static_cast<std::size_t>(n);
+  if (slash == std::string::npos) return false;
+  const Result<std::uint64_t> k = parse_u64(value.substr(0, slash));
+  const Result<std::uint64_t> n = parse_u64(value.substr(slash + 1));
+  if (!k.ok() || !n.ok() || *n == 0 || *k >= *n) return false;
+  *index = static_cast<std::size_t>(*k);
+  *count = static_cast<std::size_t>(*n);
   return true;
 }
 
@@ -193,10 +180,12 @@ int run_plan_cli(int argc, char** argv) {
     if (arg == "--list") {
       list = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_threads(arg.substr(10), &threads) || threads == 0) {
+      const Result<std::uint64_t> parsed = parse_u64(arg.substr(10));
+      if (!parsed.ok() || *parsed == 0) {
         std::fprintf(stderr, "bad --threads value: %s\n", arg.c_str());
         return 2;
       }
+      threads = static_cast<std::size_t>(*parsed);
       threads_set = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);

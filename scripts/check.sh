@@ -3,7 +3,7 @@
 #   1. plain Release with XFA_WERROR=ON (warnings are errors),
 #   2. ASan+UBSan with recovery disabled (any report aborts the test), and
 #   3. TSan over the concurrency suites (thread pool, task groups,
-#      single-flight, deadline watchdog, cache stress, parallel gather,
+#      single-flight, deadline guards, cache stress, parallel gather,
 #      engine determinism) —
 # running the xfa_lint repo rules in every pass, then re-running the chaos /
 # corruption / crash-resume robustness suites under the sanitizers with the
@@ -71,6 +71,12 @@ run_pass() {
   XFA_FAST=1 XFA_NO_CACHE=1 \
     "${build_dir}/bench/xfa_bench" smoke > "${build_dir}/shard-unsharded.txt"
   cmp "${build_dir}/shard-merged.txt" "${build_dir}/shard-unsharded.txt"
+  echo "=== ${name}: supervised smoke (deadline guard changes no bytes) ==="
+  # Every trace simulation runs under a live DeadlineGuard with a budget it
+  # never reaches; the output must match the unsupervised run above.
+  XFA_FAST=1 XFA_NO_CACHE=1 XFA_TRACE_DEADLINE_MS=600000 \
+    "${build_dir}/bench/xfa_bench" smoke > "${build_dir}/smoke-supervised.txt"
+  cmp "${build_dir}/smoke-supervised.txt" "${build_dir}/shard-unsharded.txt"
   echo "=== ${name}: ctest ==="
   ctest --test-dir "${build_dir}" -j "${JOBS}" --output-on-failure
 }

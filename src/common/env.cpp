@@ -1,6 +1,10 @@
 #include "common/env.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+
+#include "common/parse.h"
 
 namespace xfa {
 namespace {
@@ -8,6 +12,18 @@ namespace {
 bool flag_set(const char* name) {
   const char* value = std::getenv(name);
   return value != nullptr && value[0] == '1';
+}
+
+/// Overwrites `*field` with `name`'s value when it is a strict unsigned
+/// integer (common/parse.h) that fits the field; a missing, malformed or
+/// out-of-range value keeps the documented default.
+template <typename T>
+void read_unsigned(const char* name, T* field) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return;
+  const Result<std::uint64_t> parsed = parse_u64(value);
+  if (parsed.ok() && *parsed <= std::uint64_t{std::numeric_limits<T>::max()})
+    *field = static_cast<T>(*parsed);
 }
 
 EnvSnapshot read_environment() {
@@ -18,31 +34,11 @@ EnvSnapshot read_environment() {
       dir != nullptr && dir[0] != '\0') {
     snapshot.cache_dir = dir;
   }
-  if (const char* retries = std::getenv("XFA_SCENARIO_RETRIES");
-      retries != nullptr && retries[0] != '\0') {
-    const int parsed = std::atoi(retries);
-    if (parsed >= 0) snapshot.scenario_retries = parsed;
-  }
-  if (const char* threads = std::getenv("XFA_THREADS");
-      threads != nullptr && threads[0] != '\0') {
-    const int parsed = std::atoi(threads);
-    if (parsed > 0) snapshot.threads = static_cast<std::size_t>(parsed);
-  }
-  if (const char* deadline = std::getenv("XFA_TRACE_DEADLINE_MS");
-      deadline != nullptr && deadline[0] != '\0') {
-    const int parsed = std::atoi(deadline);
-    if (parsed >= 0) snapshot.trace_deadline_ms = parsed;
-  }
-  if (const char* crash = std::getenv("XFA_CRASH_AFTER_UNITS");
-      crash != nullptr && crash[0] != '\0') {
-    const int parsed = std::atoi(crash);
-    if (parsed >= 0) snapshot.crash_after_units = parsed;
-  }
-  if (const char* wait = std::getenv("XFA_CLAIM_WAIT_MS");
-      wait != nullptr && wait[0] != '\0') {
-    const int parsed = std::atoi(wait);
-    if (parsed >= 0) snapshot.claim_wait_ms = parsed;
-  }
+  read_unsigned("XFA_SCENARIO_RETRIES", &snapshot.scenario_retries);
+  read_unsigned("XFA_THREADS", &snapshot.threads);
+  read_unsigned("XFA_TRACE_DEADLINE_MS", &snapshot.trace_deadline_ms);
+  read_unsigned("XFA_CRASH_AFTER_UNITS", &snapshot.crash_after_units);
+  read_unsigned("XFA_CLAIM_WAIT_MS", &snapshot.claim_wait_ms);
   return snapshot;
 }
 

@@ -1,142 +1,34 @@
 #include "exec/deadline.h"
 
-#include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#include <vector>
-
 namespace xfa {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The token the calling thread is currently guarded by (borrowed from the
-/// innermost live DeadlineGuard; never owned here).
-thread_local const CancelToken* t_current_token = nullptr;
-
-/// One process-wide watchdog: a sorted-by-nothing small vector of pending
-/// deadlines and a thread that sleeps until the earliest one. Guards hold
-/// the owning shared_ptr; the watchdog keeps weak_ptrs so a guard that
-/// unwinds first simply leaves an expired entry to skip.
-class Watchdog {
- public:
-  static Watchdog& instance() {
-    static Watchdog dog;
-    return dog;
-  }
-
-  std::uint64_t add(Clock::time_point deadline,
-                    std::weak_ptr<CancelToken> token) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const std::uint64_t id = ++next_id_;
-    watches_.push_back({id, deadline, std::move(token)});
-    if (!thread_.joinable()) thread_ = std::thread([this] { run(); });
-    wake_.notify_all();
-    return id;
-  }
-
-  void remove(std::uint64_t id) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < watches_.size(); ++i) {
-      if (watches_[i].id == id) {
-        watches_[i] = std::move(watches_.back());
-        watches_.pop_back();
-        break;
-      }
-    }
-  }
-
-  std::size_t active() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    return watches_.size();
-  }
-
-  ~Watchdog() {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      stop_ = true;
-      wake_.notify_all();
-    }
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  struct Watch {
-    std::uint64_t id = 0;
-    Clock::time_point deadline;
-    std::weak_ptr<CancelToken> token;
-  };
-
-  void run() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-      if (watches_.empty()) {
-        // Idle: park until a new watch arrives or shutdown.
-        wake_.wait(lock, [this] { return stop_ || !watches_.empty(); });
-        continue;
-      }
-      Clock::time_point earliest = watches_.front().deadline;
-      for (const Watch& w : watches_) earliest = std::min(earliest, w.deadline);
-      if (wake_.wait_until(lock, earliest, [this, earliest] {
-            if (stop_) return true;
-            for (const Watch& w : watches_)
-              if (w.deadline < earliest) return true;
-            return false;
-          }))
-        continue;  // new earlier deadline or shutdown; recompute
-      // `earliest` passed: fire every expired watch and drop it.
-      const Clock::time_point now = Clock::now();
-      for (std::size_t i = 0; i < watches_.size();) {
-        if (watches_[i].deadline <= now) {
-          if (auto token = watches_[i].token.lock()) token->cancel();
-          watches_[i] = std::move(watches_.back());
-          watches_.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::vector<Watch> watches_;
-  std::thread thread_;
-  std::uint64_t next_id_ = 0;
-  bool stop_ = false;
-};
+/// The innermost live DeadlineGuard's deadline on this thread; max() when
+/// no guard is installed.
+thread_local Clock::time_point t_deadline = Clock::time_point::max();
 
 }  // namespace
 
-DeadlineGuard::DeadlineGuard(double seconds) {
+DeadlineGuard::DeadlineGuard(double seconds) : previous_(t_deadline) {
   if (seconds <= 0) return;  // disabled: install nothing
-  token_ = std::make_shared<CancelToken>();
-  previous_ = t_current_token;
-  t_current_token = token_.get();
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(seconds));
-  watch_id_ = Watchdog::instance().add(deadline, token_);
+  deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                 std::chrono::duration<double>(seconds));
+  active_ = true;
+  t_deadline = deadline_;
 }
 
 DeadlineGuard::~DeadlineGuard() {
-  if (token_ == nullptr) return;
-  Watchdog::instance().remove(watch_id_);
-  t_current_token = previous_;
+  if (active_) t_deadline = previous_;
+}
+
+bool DeadlineGuard::exceeded() const {
+  return active_ && Clock::now() >= deadline_;
 }
 
 bool deadline_exceeded() {
-  return t_current_token != nullptr && t_current_token->cancelled();
+  return t_deadline != Clock::time_point::max() && Clock::now() >= t_deadline;
 }
-
-const CancelToken* current_cancel_token() { return t_current_token; }
-
-namespace internal {
-std::size_t watchdog_active_watches_for_testing() {
-  return Watchdog::instance().active();
-}
-}  // namespace internal
 
 }  // namespace xfa

@@ -1,44 +1,28 @@
 // Soft wall-clock deadlines with cooperative cancellation.
 //
-// A DeadlineGuard installs a cancellation token for the current thread and
-// registers it with a process-wide watchdog thread; when the deadline
-// passes, the watchdog flips the token's atomic flag. Long-running work
-// polls deadline_exceeded() at natural boundaries (the simulation scheduler
-// checks every few thousand event dispatches) and unwinds cooperatively —
-// nothing is ever interrupted mid-operation, so a cancelled simulation just
-// returns early and its caller reports kDeadlineExceeded.
+// A DeadlineGuard installs a steady_clock time point as the current thread's
+// deadline. Long-running work polls deadline_exceeded() at natural
+// boundaries (the simulation scheduler checks every 1024 event dispatches),
+// which compares that time point against the clock, and unwinds
+// cooperatively — nothing is ever interrupted mid-operation, so a cancelled
+// simulation just returns early and its caller reports kDeadlineExceeded.
 //
-// The guard is scoped: the token is live only between construction and
-// destruction, and nested guards restore the outer one, so a deadline on a
-// pool task never leaks into the next task on that worker. A guard with a
-// non-positive budget installs nothing (deadlines off, zero overhead).
-//
-// The watchdog thread lives here, in src/exec, with the rest of the
-// threading machinery (the xfa_lint `exec-only-threads` rule); everything
-// outside exec interacts with deadlines only through this header.
+// The deadline is thread-local: only the thread that installed it ever reads
+// or writes it, so there is no lock, no atomic and no helper thread. The
+// guard is scoped: nested guards restore the outer deadline, so a deadline
+// on a pool task never leaks into the next task on that worker. A guard with
+// a non-positive budget installs nothing (deadlines off), and with no
+// deadline installed the poll is one thread-local read that never touches
+// the clock.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
+#include <chrono>
 
 namespace xfa {
 
-/// Shared cancellation flag: the watchdog sets it, workers poll it.
-class CancelToken {
- public:
-  void cancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-/// RAII deadline for the current thread. The token is also reachable from
-/// the guard itself, so the owner can distinguish "work finished" from
-/// "work finished because it was cancelled" after the fact.
+/// RAII deadline for the current thread. The guard also answers for its own
+/// deadline, so the owner can distinguish "work finished" from "work
+/// finished because it was cancelled" after the fact.
 class DeadlineGuard {
  public:
   /// `seconds` <= 0 installs nothing (deadline disabled).
@@ -47,28 +31,19 @@ class DeadlineGuard {
   DeadlineGuard(const DeadlineGuard&) = delete;
   DeadlineGuard& operator=(const DeadlineGuard&) = delete;
 
-  bool active() const { return token_ != nullptr; }
-  /// True once the watchdog fired for this guard's deadline.
-  bool exceeded() const { return token_ != nullptr && token_->cancelled(); }
+  bool active() const { return active_; }
+  /// True once this guard's deadline has passed.
+  bool exceeded() const;
 
  private:
-  std::shared_ptr<CancelToken> token_;  // null when disabled
-  const CancelToken* previous_ = nullptr;
-  std::uint64_t watch_id_ = 0;
+  std::chrono::steady_clock::time_point deadline_;
+  std::chrono::steady_clock::time_point previous_;  // outer deadline
+  bool active_ = false;
 };
 
 /// True when the calling thread runs under an expired deadline. The cheap
-/// cooperative-cancellation poll: one thread-local read plus one relaxed
-/// atomic load; no token installed => always false.
+/// cooperative-cancellation poll: with no guard installed it is one
+/// thread-local read and always false.
 bool deadline_exceeded();
-
-/// The token installed for the calling thread (nullptr when none). Lets
-/// code forward cancellation across an internal thread boundary.
-const CancelToken* current_cancel_token();
-
-namespace internal {
-/// Number of deadlines currently registered with the watchdog (tests).
-std::size_t watchdog_active_watches_for_testing();
-}  // namespace internal
 
 }  // namespace xfa

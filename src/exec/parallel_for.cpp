@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/deadline.h"
 #include "exec/task_group.h"
 
 namespace xfa {
@@ -27,38 +26,6 @@ void parallel_for(ThreadPool& pool, std::size_t n,
     });
   }
   group.wait();  // bodies return no Status; errors abort via XFA_CHECK
-}
-
-Status parallel_for(ThreadPool& pool, std::size_t n,
-                    const std::function<void(std::size_t)>& body,
-                    double deadline_seconds) {
-  if (deadline_seconds <= 0) {
-    parallel_for(pool, n, body);
-    return Status::Ok();
-  }
-  if (n == 0) return Status::Ok();
-  if (n == 1) {
-    DeadlineGuard guard(deadline_seconds);
-    body(0);
-    if (guard.exceeded())
-      return {StatusCode::kDeadlineExceeded,
-              "parallel_for body exceeded its soft deadline"};
-    return Status::Ok();
-  }
-  const std::size_t blocks =
-      std::min(n, std::max<std::size_t>(pool.size(), 1) * 4);
-  const std::size_t chunk = (n + blocks - 1) / blocks;
-  TaskGroup group(pool);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, n);
-    group.submit(
-        [&body, begin, end] {
-          for (std::size_t i = begin; i < end; ++i) body(i);
-          return Status::Ok();
-        },
-        deadline_seconds);
-  }
-  return group.wait();
 }
 
 }  // namespace xfa

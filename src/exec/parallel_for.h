@@ -10,24 +10,11 @@
 #include <cstddef>
 #include <functional>
 
-#include "common/status.h"
 #include "exec/thread_pool.h"
 
 namespace xfa {
 
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
-
-/// Deadline-supervised flavour: each block task runs under its own soft
-/// deadline (exec/deadline.h) and the call returns the first
-/// kDeadlineExceeded instead of Ok when any block's watchdog fired. The
-/// contract weakens accordingly: a body observing deadline_exceeded() may
-/// return early, so on a non-ok result some indices may not have been fully
-/// processed — callers must treat the output as abandoned. Bodies that
-/// ignore the poll run to completion exactly as the plain overload.
-/// `deadline_seconds` <= 0 delegates to the plain overload and returns Ok.
-Status parallel_for(ThreadPool& pool, std::size_t n,
-                    const std::function<void(std::size_t)>& body,
-                    double deadline_seconds);
 
 }  // namespace xfa

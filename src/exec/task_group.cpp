@@ -3,8 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "exec/deadline.h"
-
 namespace xfa {
 
 void TaskGroup::submit(std::function<Status()> task) {
@@ -34,24 +32,6 @@ void TaskGroup::submit(std::function<Status()> task) {
       // variable must not be touched after the unlock.
       done_.notify_all();
     }
-  });
-}
-
-void TaskGroup::submit(std::function<Status()> task,
-                       double deadline_seconds) {
-  if (deadline_seconds <= 0) {
-    submit(std::move(task));
-    return;
-  }
-  submit([task = std::move(task), deadline_seconds]() -> Status {
-    DeadlineGuard guard(deadline_seconds);
-    Status status = task();
-    // A task that unwound cooperatively may still report Ok (it cannot see
-    // the guard); the group must not mistake a truncated run for success.
-    if (guard.exceeded() && status.ok())
-      return {StatusCode::kDeadlineExceeded,
-              "task exceeded its soft deadline"};
-    return status;
   });
 }
 

@@ -31,13 +31,6 @@ class TaskGroup {
   /// are dropped (structured cancellation extends to late submitters).
   void submit(std::function<Status()> task);
 
-  /// Schedules `task` under a per-task soft deadline (exec/deadline.h): the
-  /// task runs inside a DeadlineGuard, and if it returns Ok *after* the
-  /// watchdog fired — a cooperatively cancelled, partially-done run — the
-  /// group records kDeadlineExceeded for it instead. `deadline_seconds` <= 0
-  /// means no deadline (plain submit).
-  void submit(std::function<Status()> task, double deadline_seconds);
-
   /// True once any task has returned a non-ok Status.
   bool cancelled() const;
 

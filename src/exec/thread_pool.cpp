@@ -1,6 +1,8 @@
 #include "exec/thread_pool.h"
 
 #include <chrono>
+#include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "common/env.h"

@@ -22,12 +22,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace xfa {
@@ -65,18 +61,6 @@ class ThreadPool {
   /// Enqueues a task. Tasks must not throw (the tree builds without
   /// exception recovery; contract violations abort via XFA_CHECK).
   void submit(std::function<void()> task);
-
-  /// Enqueues a callable and returns a future for its result. Prefer
-  /// TaskGroup / parallel_for inside pool tasks: future::get() blocks
-  /// without draining the queue and can deadlock a fully-busy pool.
-  template <typename F>
-  auto async(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    submit([task] { (*task)(); });
-    return future;
-  }
 
   /// Runs one queued task on the calling thread, if any is pending.
   /// Returns false when the queue was empty. This is the cooperative-wait

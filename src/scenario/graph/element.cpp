@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/parse.h"
+
 namespace xfa {
 
 const char* to_string(ElementRole role) {
@@ -34,17 +36,6 @@ Status malformed(std::string_view what, std::string_view text) {
 
 }  // namespace
 
-Result<std::uint64_t> parse_param_u64(std::string_view text) {
-  const std::string buf(text);
-  if (buf.empty() || buf[0] == '-') return malformed("integer", text);
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size())
-    return malformed("integer", text);
-  return value;
-}
-
 Result<double> parse_param_double(std::string_view text) {
   const std::string buf(text);
   if (buf.empty()) return malformed("number", text);
@@ -64,7 +55,7 @@ Result<bool> parse_param_bool(std::string_view text) {
 
 Result<NodeId> parse_param_node(std::string_view text) {
   if (text == "auto") return kInvalidNode;
-  Result<std::uint64_t> value = parse_param_u64(text);
+  Result<std::uint64_t> value = parse_u64(text);
   if (!value.ok()) return malformed("node (id or 'auto')", text);
   if (*value > 100000) return malformed("node (id or 'auto')", text);
   return static_cast<NodeId>(*value);
@@ -112,7 +103,7 @@ Status check_param_value(const ParamInfo& info, const std::string& value) {
   };
   switch (info.kind) {
     case ParamKind::Int: {
-      Result<std::uint64_t> parsed = parse_param_u64(value);
+      Result<std::uint64_t> parsed = parse_u64(value);
       if (!parsed.ok()) return parsed.status();
       return range_check(static_cast<double>(*parsed));
     }

@@ -62,9 +62,9 @@ struct ElementSpec {
 };
 
 /// Shared value parsers, used by both the scenario parser and the element
-/// lowering hooks. All report malformed input via Status (never abort):
-/// parser errors must surface to the operator who wrote the file.
-Result<std::uint64_t> parse_param_u64(std::string_view text);
+/// lowering hooks (integers use parse_u64 from common/parse.h). All
+/// report malformed input via Status (never abort): parser errors must
+/// surface to the operator who wrote the file.
 Result<double> parse_param_double(std::string_view text);
 Result<bool> parse_param_bool(std::string_view text);
 Result<NodeId> parse_param_node(std::string_view text);  // "auto" allowed

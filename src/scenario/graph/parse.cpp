@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/parse.h"
+
 // NOTE: this TU does file I/O, so (per the status-not-abort rule) every
 // failure path returns Status — no aborts, no matter the input bytes.
 
@@ -64,7 +66,7 @@ const std::vector<TopLevelKey>& top_level_keys() {
   static const std::vector<TopLevelKey> keys = {
       {"sim", "nodes",
        [](ScenarioConfig& c, const std::string& v) {
-         Result<std::uint64_t> parsed = parse_param_u64(v);
+         Result<std::uint64_t> parsed = parse_u64(v);
          if (!parsed.ok()) return parsed.status();
          if (*parsed < 2 || *parsed > 100000)
            return Status{StatusCode::kInvalidArgument,
@@ -82,21 +84,21 @@ const std::vector<TopLevelKey>& top_level_keys() {
        }},
       {"sim", "seed",
        [](ScenarioConfig& c, const std::string& v) {
-         Result<std::uint64_t> parsed = parse_param_u64(v);
+         Result<std::uint64_t> parsed = parse_u64(v);
          if (!parsed.ok()) return parsed.status();
          c.seed = *parsed;
          return Status::Ok();
        }},
       {"sim", "traffic-seed",
        [](ScenarioConfig& c, const std::string& v) {
-         Result<std::uint64_t> parsed = parse_param_u64(v);
+         Result<std::uint64_t> parsed = parse_u64(v);
          if (!parsed.ok()) return parsed.status();
          c.traffic_seed = *parsed;
          return Status::Ok();
        }},
       {"sim", "mobility-seed",
        [](ScenarioConfig& c, const std::string& v) {
-         Result<std::uint64_t> parsed = parse_param_u64(v);
+         Result<std::uint64_t> parsed = parse_u64(v);
          if (!parsed.ok()) return parsed.status();
          c.mobility_seed = *parsed;
          return Status::Ok();
@@ -146,7 +148,7 @@ const std::vector<TopLevelKey>& top_level_keys() {
        }},
       {"traffic", "connections",
        [](ScenarioConfig& c, const std::string& v) {
-         Result<std::uint64_t> parsed = parse_param_u64(v);
+         Result<std::uint64_t> parsed = parse_u64(v);
          if (!parsed.ok()) return parsed.status();
          c.traffic.max_connections = static_cast<std::size_t>(*parsed);
          return Status::Ok();
@@ -157,7 +159,7 @@ const std::vector<TopLevelKey>& top_level_keys() {
        }},
       {"traffic", "packet-bytes",
        [](ScenarioConfig& c, const std::string& v) {
-         Result<std::uint64_t> parsed = parse_param_u64(v);
+         Result<std::uint64_t> parsed = parse_u64(v);
          if (!parsed.ok()) return parsed.status();
          if (*parsed == 0 || *parsed > (1u << 20))
            return Status{StatusCode::kInvalidArgument,

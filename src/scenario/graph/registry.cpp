@@ -8,6 +8,7 @@
 #include "attacks/impersonation.h"
 #include "attacks/storm.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "routing/aodv/aodv.h"
 #include "routing/dsr/dsr.h"
 #include "scenario/graph/builder.h"
@@ -30,7 +31,7 @@ double num_param(const ElementSpec& elem, std::string_view key,
 std::uint64_t u64_param(const ElementSpec& elem, std::string_view key,
                         std::uint64_t fallback) {
   const std::string* value = elem.find(key);
-  return value == nullptr ? fallback : *parse_param_u64(*value);
+  return value == nullptr ? fallback : *parse_u64(*value);
 }
 
 bool bool_param(const ElementSpec& elem, std::string_view key, bool fallback) {

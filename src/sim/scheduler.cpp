@@ -150,9 +150,10 @@ void Scheduler::dispatch_next() {
 }
 
 void Scheduler::run_until(SimTime until) {
-  // The deadline poll is amortized over a batch of dispatches: checking the
-  // watchdog's atomic on every event would put a cross-core load in the
-  // hottest loop of the simulator for a flag that flips at most once per run.
+  // The deadline poll is amortized over a batch of dispatches: under a guard
+  // each poll reads the steady clock, and doing that on every event would put
+  // a clock call in the hottest loop of the simulator for a deadline that
+  // passes at most once per run. Without a guard the poll never reads it.
   std::uint64_t until_poll = kDeadlinePollInterval;
   while (!heap_.empty() && heap_.front().at <= until) {
     dispatch_next();

@@ -1,14 +1,21 @@
 // Contract-macro behaviour: XFA_CHECK must stay armed in release builds
 // (this suite runs under NDEBUG in tier-1 CI) and report enough context to
 // debug from the failure line alone. Result<T>::value() is the checked
-// accessor built on it.
+// accessor built on it. Also the strict integer parser (common/parse.h) and
+// the XFA_* environment snapshot built on it (common/env.h).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/env.h"
+#include "common/parse.h"
 #include "common/status.h"
 
 namespace xfa {
@@ -102,6 +109,76 @@ TEST(ResultDeathTest, ValueOfErrorAbortsWithTheStatus) {
         Status{StatusCode::kNotFound, "no such trace"});
   };
   EXPECT_DEATH((void)failing().value(), "kNotFound: no such trace");
+}
+
+TEST(ParseU64Test, AcceptsOnlyDigitsThatFit) {
+  EXPECT_EQ(parse_u64("0").value(), 0u);
+  EXPECT_EQ(parse_u64("0042").value(), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615").value(), UINT64_MAX);
+  for (const char* bad : {"", "-1", "+2", " 3", "3 ", "10s", "abc", "0x10",
+                          "1.5", "18446744073709551616"}) {
+    const Result<std::uint64_t> parsed = parse_u64(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+/// Sets XFA_* integer variables and re-snapshots; TearDown puts back
+/// whatever the process environment held before the test.
+class EnvSnapshotTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kNames[] = {
+      "XFA_SCENARIO_RETRIES", "XFA_THREADS", "XFA_TRACE_DEADLINE_MS",
+      "XFA_CRASH_AFTER_UNITS", "XFA_CLAIM_WAIT_MS"};
+
+  void SetUp() override {
+    for (std::size_t i = 0; i < std::size(kNames); ++i) {
+      const char* value = std::getenv(kNames[i]);
+      if (value != nullptr) saved_[i] = value;
+    }
+  }
+  void TearDown() override {
+    for (std::size_t i = 0; i < std::size(kNames); ++i) {
+      if (saved_[i])
+        setenv(kNames[i], saved_[i]->c_str(), 1);
+      else
+        unsetenv(kNames[i]);
+    }
+    refresh_env_for_testing();
+  }
+
+  std::optional<std::string> saved_[std::size(kNames)];
+};
+
+TEST_F(EnvSnapshotTest, StrictIntegersOverrideDefaults) {
+  setenv("XFA_SCENARIO_RETRIES", "0", 1);
+  setenv("XFA_THREADS", "3", 1);
+  setenv("XFA_TRACE_DEADLINE_MS", "250", 1);
+  setenv("XFA_CRASH_AFTER_UNITS", "7", 1);
+  setenv("XFA_CLAIM_WAIT_MS", "0", 1);
+  refresh_env_for_testing();
+  EXPECT_EQ(env().scenario_retries, 0);
+  EXPECT_EQ(env().threads, 3u);
+  EXPECT_EQ(env().trace_deadline_ms, 250);
+  EXPECT_EQ(env().crash_after_units, 7);
+  EXPECT_EQ(env().claim_wait_ms, 0);
+}
+
+TEST_F(EnvSnapshotTest, MalformedOrOutOfRangeValuesKeepDefaults) {
+  // A unit suffix, plain text, a sign and an int overflow: none may become
+  // a number ("abc" as 0 would silently disable claim files).
+  setenv("XFA_TRACE_DEADLINE_MS", "10s", 1);
+  setenv("XFA_CLAIM_WAIT_MS", "abc", 1);
+  setenv("XFA_SCENARIO_RETRIES", "-1", 1);
+  setenv("XFA_THREADS", "+4", 1);
+  setenv("XFA_CRASH_AFTER_UNITS", "99999999999", 1);  // > INT_MAX
+  refresh_env_for_testing();
+  const EnvSnapshot defaults;
+  EXPECT_EQ(env().trace_deadline_ms, defaults.trace_deadline_ms);
+  EXPECT_EQ(env().claim_wait_ms, defaults.claim_wait_ms);
+  EXPECT_EQ(env().scenario_retries, defaults.scenario_retries);
+  EXPECT_EQ(env().threads, defaults.threads);
+  EXPECT_EQ(env().crash_after_units, defaults.crash_after_units);
 }
 
 }  // namespace

@@ -1,19 +1,17 @@
-// Deadline-supervised execution (exec/deadline.h): soft per-task deadlines
-// on TaskGroup/parallel_for, the cooperative cancellation poll at the
-// simulation scheduler's dispatch boundary, and the scenario runner's
-// retry-with-doubled-budget policy (same seed, so determinism holds).
+// Deadline-supervised execution (exec/deadline.h): the thread-local
+// DeadlineGuard and its nesting, its scoping to one pool task, the
+// cooperative cancellation poll at the simulation scheduler's dispatch
+// boundary, and the scenario runner's retry-with-doubled-budget policy (same
+// seed, so determinism holds).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <thread>
-#include <vector>
 
 #include "common/env.h"
 #include "exec/deadline.h"
-#include "exec/parallel_for.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "scenario/runner.h"
 #include "sim/scheduler.h"
@@ -24,7 +22,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Busy-waits until the current thread's deadline fires (bounded so a broken
-/// watchdog fails the test instead of hanging it).
+/// deadline fails the test instead of hanging it).
 bool spin_until_exceeded(std::chrono::seconds limit = std::chrono::seconds(10)) {
   const auto start = Clock::now();
   while (!deadline_exceeded()) {
@@ -51,7 +49,6 @@ TEST(DeadlineGuardTest, NonPositiveBudgetInstallsNothing) {
   EXPECT_FALSE(negative.active());
   EXPECT_FALSE(zero.exceeded());
   EXPECT_FALSE(deadline_exceeded());
-  EXPECT_EQ(current_cancel_token(), nullptr);
 }
 
 TEST(DeadlineGuardTest, FiresAfterBudgetElapses) {
@@ -70,111 +67,43 @@ TEST(DeadlineGuardTest, GenerousBudgetDoesNotFire) {
 
 TEST(DeadlineGuardTest, NestedGuardRestoresOuterToken) {
   DeadlineGuard outer(300.0);
-  const CancelToken* outer_token = current_cancel_token();
-  ASSERT_NE(outer_token, nullptr);
   {
     DeadlineGuard inner(0.02);
-    EXPECT_NE(current_cancel_token(), outer_token);
     EXPECT_TRUE(spin_until_exceeded());
     EXPECT_TRUE(inner.exceeded());
+    // A disabled guard installs nothing: the inner deadline stays in force.
+    DeadlineGuard disabled(0);
+    EXPECT_TRUE(deadline_exceeded());
   }
   // The inner guard unwound: the thread is governed by the outer deadline
   // again, which has not fired.
-  EXPECT_EQ(current_cancel_token(), outer_token);
   EXPECT_FALSE(deadline_exceeded());
   EXPECT_FALSE(outer.exceeded());
 }
 
-TEST(DeadlineGuardTest, WatchdogDropsWatchesWhenGuardsUnwind) {
-  const std::size_t baseline = internal::watchdog_active_watches_for_testing();
-  {
-    DeadlineGuard a(300.0);
-    DeadlineGuard b(300.0);
-    EXPECT_EQ(internal::watchdog_active_watches_for_testing(), baseline + 2);
-  }
-  EXPECT_EQ(internal::watchdog_active_watches_for_testing(), baseline);
-}
-
-TEST(TaskGroupDeadlineTest, ExpiredDeadlineConvertsOkToDeadlineExceeded) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.submit(
-      [] {
-        // Cooperative task: unwinds when its deadline fires, reports Ok
-        // (it cannot see the guard) — the group must not mistake the
-        // truncated run for success.
-        while (!deadline_exceeded()) std::this_thread::yield();
-        return Status::Ok();
-      },
-      0.02);
-  const Status status = group.wait();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(TaskGroupDeadlineTest, TaskErrorOutranksDeadline) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.submit(
-      [] {
-        while (!deadline_exceeded()) std::this_thread::yield();
-        return Status{StatusCode::kDegenerateData, "real failure"};
-      },
-      0.02);
-  const Status status = group.wait();
-  EXPECT_EQ(status.code(), StatusCode::kDegenerateData);
-}
-
-TEST(TaskGroupDeadlineTest, GenerousDeadlinePassesThrough) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    group.submit(
-        [&ran] {
-          ran.fetch_add(1);
-          return Status::Ok();
-        },
-        300.0);
-  }
-  EXPECT_TRUE(group.wait().ok());
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ParallelForDeadlineTest, NonPositiveDeadlineDelegatesToPlainOverload) {
-  ThreadPool pool(2);
-  std::vector<int> out(64, 0);
-  const Status status = parallel_for(
-      pool, out.size(), [&out](std::size_t i) { out[i] = static_cast<int>(i); },
-      0.0);
-  ASSERT_TRUE(status.ok());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], static_cast<int>(i));
-}
-
-TEST(ParallelForDeadlineTest, ExpiredDeadlineSurfacesAndOutputIsAbandoned) {
-  ThreadPool pool(2);
-  const Status status = parallel_for(
-      pool, 4,
-      [](std::size_t) {
-        while (!deadline_exceeded()) std::this_thread::yield();
-      },
-      0.02);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(ParallelForDeadlineTest, GenerousDeadlineMatchesPlainResults) {
-  ThreadPool pool(4);
-  std::vector<double> plain(257, 0), guarded(257, 0);
-  parallel_for(pool, plain.size(),
-               [&plain](std::size_t i) { plain[i] = 1.5 * static_cast<double>(i); });
-  const Status status = parallel_for(
-      pool, guarded.size(),
-      [&guarded](std::size_t i) { guarded[i] = 1.5 * static_cast<double>(i); },
-      300.0);
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(guarded, plain);
+/// A deadline belongs to the thread that installed it for the guard's scope
+/// only: once a pool task's guard unwinds, the next task on the same worker
+/// runs unsupervised.
+TEST(DeadlineGuardTest, GuardDoesNotLeakIntoNextPoolTask) {
+  ThreadPool pool(1);
+  std::promise<std::thread::id> a_worker;
+  std::promise<std::thread::id> b_worker;
+  bool a_fired = false;  // each flag is published by its task's set_value
+  bool b_exceeded = true;
+  pool.submit([&] {
+    DeadlineGuard guard(0.001);
+    a_fired = spin_until_exceeded();
+    a_worker.set_value(std::this_thread::get_id());
+  });
+  pool.submit([&] {
+    b_exceeded = deadline_exceeded();
+    b_worker.set_value(std::this_thread::get_id());
+  });
+  const std::thread::id a_id = a_worker.get_future().get();
+  const std::thread::id b_id = b_worker.get_future().get();
+  ASSERT_EQ(a_id, b_id) << "both tasks must run on the pool's one worker";
+  EXPECT_TRUE(a_fired);
+  EXPECT_FALSE(b_exceeded);
 }
 
 /// The simulation scheduler polls the thread's deadline every ~1024

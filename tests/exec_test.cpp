@@ -34,14 +34,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, AsyncReturnsFutureWithResult) {
-  ThreadPool pool(2);
-  std::future<int> a = pool.async([] { return 41; });
-  std::future<std::string> b = pool.async([] { return std::string("x"); });
-  EXPECT_EQ(a.get(), 41);
-  EXPECT_EQ(b.get(), "x");
-}
-
 TEST(ThreadPool, ZeroResolvesToAtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);

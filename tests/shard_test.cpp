@@ -3,9 +3,10 @@
 // every distinct trace unit lands in exactly one shard for several K/N
 // splits, the merged output is byte-identical to the unsharded run at both
 // ends of the thread spectrum, a merge over an incomplete cache fails
-// loudly instead of silently re-simulating, and two shard workers racing on
+// loudly instead of silently re-simulating, two shard workers racing on
 // the same cache directory leave exactly one artifact per unit and zero
-// .tmp/.claim/.corrupt litter.
+// .tmp/.claim/.corrupt litter, and a signed --threads/--shard value is a
+// usage error.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -172,6 +173,23 @@ TEST_F(ShardTest, MergeOverIncompleteCacheFailsLoudly) {
   const int status =
       run_bench(cache_dir, "smoke --merge", dir_ + "/merged");
   EXPECT_FALSE(exited_zero(status));
+}
+
+TEST_F(ShardTest, MalformedNumericFlagsAreUsageErrors) {
+  // Numeric flags take digits only. A sign must not wrap into an unsigned
+  // value (--threads=-1 as 2^64-1 workers, --shard=0/-1 as shard 0 of
+  // 2^64-1): each is a usage error that runs nothing and writes no --out
+  // file.
+  const std::string cache_dir = cache("flags");
+  for (const std::string flag : {"--threads=-1", "--threads=+2",
+                                 "--shard=0/-1", "--shard=+0/2"}) {
+    const std::string out_file = dir_ + "/out.txt";
+    const int status = run_bench(
+        cache_dir, "smoke " + flag + " --out=" + out_file, dir_ + "/stdout");
+    ASSERT_TRUE(WIFEXITED(status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flag;
+    EXPECT_FALSE(std::filesystem::exists(out_file)) << flag;
+  }
 }
 
 TEST_F(ShardTest, ConcurrentWorkersOneArtifactPerUnitNoLitter) {

@@ -7,11 +7,13 @@
 // Exit status: min(active findings, 100); 64 on usage errors. Suppressed
 // findings and stale suppressions never fail the run but are always shown.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "common/parse.h"
 #include "lint/lint.h"
 #include "lint/report.h"
 
@@ -45,11 +47,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      try {
-        threads = std::stoul(arg.substr(10));
-      } catch (...) {
-        return usage();
-      }
+      const xfa::Result<std::uint64_t> parsed = xfa::parse_u64(arg.substr(10));
+      if (!parsed.ok()) return usage();
+      threads = static_cast<std::size_t>(*parsed);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else if (root.empty()) {
