@@ -43,8 +43,8 @@ int run_plan() {
       options.selection.top_k = k;
     }
 
-    // Wall-clock train/score outside the journal helpers so the numbers are
-    // real retrain cost, never checkpoint-cache hits.
+    // Wall-clock train/score outside the checkpoint helpers so the numbers
+    // are real retrain cost, never checkpoint hits.
     const auto train_start = Clock::now();
     Result<Detector> trained = train_detector_checked(
         data.train_normal, make_c45_factory(), options, threshold_trace);

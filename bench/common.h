@@ -42,26 +42,26 @@ struct Cell {
   const ExperimentData* data = nullptr;
 };
 
-/// Training and scoring go through the checkpoint-journal-aware helpers:
-/// with no journal installed they are exactly train_detector/score_trace,
-/// with one (xfa_bench --checkpoint) every completed unit is journaled and
-/// a resumed run loads it back bit-identically.
+/// Training and scoring go through the checkpoint-aware helpers: with no
+/// checkpoint store installed they are exactly train_detector/score_trace,
+/// with one (xfa_bench --checkpoint) every completed unit is stored and a
+/// resumed run loads it back bit-identically.
 inline Cell evaluate(const ExperimentData& data,
                      const ClassifierFactory& factory,
                      const DetectorOptions& detector_options = {}) {
   Cell cell;
   cell.data = &data;
-  Result<JournaledDetector> trained = train_detector_journaled(
+  Result<CheckpointedDetector> trained = train_detector_checkpointed(
       data.train_normal, factory, detector_options,
       data.normal_eval.empty() ? nullptr : &data.normal_eval.front());
   XFA_CHECK(trained.ok()) << trained.status().to_string();
   cell.detector = std::move(trained->detector);
   for (std::size_t i = 1; i < data.normal_eval.size(); ++i)
-    cell.normal_scores.push_back(score_trace_journaled(
+    cell.normal_scores.push_back(score_trace_checkpointed(
         cell.detector, trained->unit_key, data.normal_eval[i]));
   for (const RawTrace& trace : data.abnormal)
     cell.abnormal_scores.push_back(
-        score_trace_journaled(cell.detector, trained->unit_key, trace));
+        score_trace_checkpointed(cell.detector, trained->unit_key, trace));
   return cell;
 }
 

@@ -44,9 +44,9 @@ int print_usage(const char* argv0) {
                "       [--checkpoint=DIR [--resume]] [--shard=K/N | --merge]\n"
                "       <plan>...\n"
                "       (run `%s --list` for the registered plans)\n"
-               "  --checkpoint=DIR  journal completed work units to DIR\n"
-               "  --resume          replay DIR's journal and skip completed "
-               "units\n"
+               "  --checkpoint=DIR  store each completed work unit as a file "
+               "in DIR\n"
+               "  --resume          skip the units already stored in DIR\n"
                "  --shard=K/N       simulate only shard K (0-based) of the "
                "plans' trace\n"
                "                    units into the shared cache\n"
@@ -248,18 +248,18 @@ int run_plan_cli(int argc, char** argv) {
     }
   }
 
-  // The journal outlives every plan run and is uninstalled before it is
-  // destroyed; plans see it through checkpoint_journal(). A fresh
-  // --checkpoint discards any previous journal, --resume replays it.
-  CheckpointJournal journal;
+  // The checkpoint store outlives every plan run and is uninstalled before
+  // it is destroyed; plans see it through checkpoint_store(). A fresh
+  // --checkpoint deletes the units of any previous run, --resume keeps them.
+  CheckpointStore checkpoint;
   if (!checkpoint_dir.empty()) {
-    const Status status = journal.open(checkpoint_dir, resume);
+    const Status status = checkpoint.open(checkpoint_dir, resume);
     if (!status.ok()) {
-      std::fprintf(stderr, "cannot open checkpoint journal in '%s': %s\n",
+      std::fprintf(stderr, "cannot open checkpoint store in '%s': %s\n",
                    checkpoint_dir.c_str(), status.to_string().c_str());
       return 2;
     }
-    install_checkpoint_journal(&journal);
+    install_checkpoint_store(&checkpoint);
   }
 
   int exit_code = 0;
@@ -279,7 +279,7 @@ int run_plan_cli(int argc, char** argv) {
     }
     if (merge) set_require_cached_traces(false);
   }
-  if (!checkpoint_dir.empty()) install_checkpoint_journal(nullptr);
+  if (!checkpoint_dir.empty()) install_checkpoint_store(nullptr);
   std::fflush(stdout);
   return exit_code;
 }

@@ -9,8 +9,9 @@
 //   xfa_bench <plan> --threads=N     size the shared execution pool first
 //   xfa_bench <plan> --out=PATH      redirect stdout to PATH
 //   xfa_bench <plan> --checkpoint=DIR [--resume]
-//                                    journal completed work units to DIR;
-//                                    --resume skips units already journaled
+//                                    store each completed work unit as a
+//                                    file in DIR; --resume skips units
+//                                    already stored
 //   xfa_bench <plan> --shard=K/N     simulate only this worker's 1/N of the
 //                                    plans' trace units into the shared
 //                                    cache (K in 0..N-1); prints shard

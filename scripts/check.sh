@@ -3,10 +3,11 @@
 #   1. plain Release with XFA_WERROR=ON (warnings are errors),
 #   2. ASan+UBSan with recovery disabled (any report aborts the test), and
 #   3. TSan over the concurrency suites (thread pool, task groups,
-#      single-flight, deadline guards, cache stress, parallel gather,
-#      engine determinism) —
+#      single-flight, deadline guards, cache stress, the lock-free
+#      checkpoint store, parallel gather, engine determinism) —
 # running the xfa_lint repo rules in every pass, then re-running the chaos /
-# corruption / crash-resume robustness suites under the sanitizers with the
+# corruption / checkpoint-store / crash-resume robustness suites under the
+# sanitizers with the
 # cache forced off (XFA_NO_CACHE) so every fault-injection, artifact-parsing
 # and kill/resume path is actually exercised under ASan+UBSan, and finally
 # building and self-testing the perf/ benchmark driver, which compiles
@@ -94,15 +95,16 @@ run_pass "asan+ubsan" build-check-sanitize \
   -DXFA_SANITIZE="address;undefined"
 
 # Robustness gate: the corruption sweeps (cache_robustness_test,
-# model_io_test), the crash-injection kill/resume harness
-# (crash_resume_test — SIGKILLed xfa_bench subprocesses, all sanitized),
-# the fault-injection layer (faults_test, degraded_cfa_test), and the
-# determinism-under-faults guard must all hold with sanitizers armed and
-# caching disabled — no on-disk bytes may crash the process, no kill point
-# may lose or corrupt journaled work, and no chaos path may contain UB.
+# model_io_test, the CheckpointStore torn/foreign unit-file cases), the
+# crash-injection kill/resume harness (crash_resume_test — SIGKILLed
+# xfa_bench subprocesses, all sanitized), the fault-injection layer
+# (faults_test, degraded_cfa_test), and the determinism-under-faults guard
+# must all hold with sanitizers armed and caching disabled — no on-disk
+# bytes may crash the process, no kill point may lose or corrupt a stored
+# checkpoint unit, and no chaos path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel' \
+  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be
@@ -117,7 +119,7 @@ cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
 cmake --build build-check-tsan -j "${JOBS}"
 echo "=== tsan: concurrency suites ==="
 ctest --test-dir build-check-tsan -j "${JOBS}" \
-  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|Deadline|Shard|FeatSel' \
+  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|Deadline|Shard|FeatSel' \
   --output-on-failure
 
 echo "All checks passed."

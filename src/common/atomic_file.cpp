@@ -1,13 +1,15 @@
 #include "common/atomic_file.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -16,6 +18,7 @@
 #endif
 
 #include "common/crc64.h"
+#include "common/serial.h"
 
 namespace xfa {
 namespace {
@@ -91,6 +94,71 @@ bool parse_temp_pid(const std::string& filename, unsigned long long& pid) {
   return true;
 }
 
+/// Starts a frame: the magic plus zeroed size and CRC fields, which
+/// seal_frame fills in once the payload behind them is complete. Writers
+/// append the payload straight into this buffer, so the frame costs no copy.
+std::string open_frame(std::string_view magic, std::size_t payload_reserve) {
+  std::string blob;
+  blob.reserve(magic.size() + kFrameLengthFields + payload_reserve);
+  blob.append(magic.data(), magic.size());
+  blob.append(kFrameLengthFields, '\0');
+  return blob;
+}
+
+/// Writes the payload size and CRC64 into a frame from open_frame.
+void seal_frame(std::string& blob, std::size_t magic_size) {
+  const std::size_t header_size = magic_size + kFrameLengthFields;
+  const auto payload_size =
+      static_cast<std::uint64_t>(blob.size() - header_size);
+  const std::uint64_t crc =
+      crc64(blob.data() + header_size, blob.size() - header_size);
+  std::memcpy(blob.data() + magic_size, &payload_size, sizeof(payload_size));
+  std::memcpy(blob.data() + magic_size + sizeof(payload_size), &crc,
+              sizeof(crc));
+}
+
+/// Reads a framed file and validates magic, declared size and checksum;
+/// returns the whole file (header included) so callers can view the payload
+/// in place.
+Result<std::string> read_framed_blob(const std::string& path,
+                                     std::string_view magic) {
+  Result<std::string> bytes = read_file_bytes(path);
+  if (!bytes.ok()) return bytes.status();
+  const std::string& blob = *bytes;
+  const std::size_t header_size = magic.size() + kFrameLengthFields;
+  if (blob.size() < header_size ||
+      std::memcmp(blob.data(), magic.data(), magic.size()) != 0)
+    return Status{StatusCode::kCorruptArtifact, "bad or truncated header"};
+
+  // Old format revisions fail the magic check above and heal the same way
+  // every other invalid file does: the caller quarantines + regenerates.
+  std::uint64_t payload_size = 0, stored_crc = 0;
+  std::memcpy(&payload_size, blob.data() + magic.size(), sizeof(payload_size));
+  std::memcpy(&stored_crc, blob.data() + magic.size() + sizeof(payload_size),
+              sizeof(stored_crc));
+
+  // The declared size must match the bytes actually present, which both
+  // rejects truncation and caps the read at the real file size — a hostile
+  // length field never drives the allocation.
+  if (payload_size != blob.size() - header_size)
+    return Status{StatusCode::kCorruptArtifact,
+                  "payload size disagrees with file size"};
+  if (crc64(blob.data() + header_size, blob.size() - header_size) !=
+      stored_crc)
+    return Status{StatusCode::kCorruptArtifact, "payload checksum mismatch"};
+  return bytes;
+}
+
+/// 64-bit FNV-1a: the artifact file name of a key.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace
 
 Status atomic_write_file(const std::string& path, std::string_view bytes) {
@@ -138,45 +206,18 @@ Result<std::string> read_file_bytes(const std::string& path) {
 
 Status write_framed_file(const std::string& path, std::string_view magic,
                          std::string_view payload) {
-  std::string blob;
-  blob.reserve(magic.size() + kFrameLengthFields + payload.size());
-  blob.append(magic.data(), magic.size());
-  const auto payload_size = static_cast<std::uint64_t>(payload.size());
-  blob.append(reinterpret_cast<const char*>(&payload_size),
-              sizeof(payload_size));
-  const std::uint64_t crc = crc64(payload.data(), payload.size());
-  blob.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  std::string blob = open_frame(magic, payload.size());
   blob.append(payload.data(), payload.size());
+  seal_frame(blob, magic.size());
   return atomic_write_file(path, blob);
 }
 
 Result<std::string> read_framed_payload(const std::string& path,
                                         std::string_view magic) {
-  Result<std::string> bytes = read_file_bytes(path);
-  if (!bytes.ok()) return bytes.status();
-  const std::string& blob = *bytes;
-  const std::size_t header_size = magic.size() + kFrameLengthFields;
-  if (blob.size() < header_size ||
-      std::memcmp(blob.data(), magic.data(), magic.size()) != 0)
-    return Status{StatusCode::kCorruptArtifact, "bad or truncated header"};
-
-  // Old format revisions fail the magic check above and heal the same way
-  // every other invalid file does: the caller quarantines + regenerates.
-  std::uint64_t payload_size = 0, stored_crc = 0;
-  std::memcpy(&payload_size, blob.data() + magic.size(), sizeof(payload_size));
-  std::memcpy(&stored_crc, blob.data() + magic.size() + sizeof(payload_size),
-              sizeof(stored_crc));
-
-  // The declared size must match the bytes actually present, which both
-  // rejects truncation and caps the read at the real file size — a hostile
-  // length field never drives the allocation.
-  if (payload_size != blob.size() - header_size)
-    return Status{StatusCode::kCorruptArtifact,
-                  "payload size disagrees with file size"};
-  std::string payload = blob.substr(header_size);
-  if (crc64(payload.data(), payload.size()) != stored_crc)
-    return Status{StatusCode::kCorruptArtifact, "payload checksum mismatch"};
-  return payload;
+  Result<std::string> blob = read_framed_blob(path, magic);
+  if (!blob.ok()) return blob.status();
+  blob->erase(0, magic.size() + kFrameLengthFields);
+  return blob;
 }
 
 void quarantine_file(const std::string& path) {
@@ -219,106 +260,80 @@ void sweep_stale_temps(const std::string& directory) {
   }
 }
 
-bool ClaimFile::try_acquire(const std::string& artifact_path) {
-  release();
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string path = artifact_path + ".claim";
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd < 0) {
-    // EEXIST is the one contended outcome; anything else (directory missing,
-    // permissions) means claims cannot work here, and the caller must not
-    // spin waiting for a holder that can never exist — proceed unclaimed.
-    return errno != EEXIST;
-  }
-  const std::string pid = std::to_string(current_pid());
-  // A failed pid write leaves an empty claim; holder_alive() treats that as
-  // a fresh holder and ages it out, so no error handling is needed beyond
-  // not lying about ownership.
-  (void)!::write(fd, pid.data(), pid.size());
-  ::close(fd);
-  path_ = path;
-  return true;
-#else
-  // No exclusive-create primitive: skip deduplication, always produce.
-  (void)artifact_path;
-  return true;
-#endif
+ArtifactStore::ArtifactStore(std::string directory, std::string_view magic,
+                             std::string_view extension)
+    : directory_(std::move(directory)), magic_(magic), extension_(extension) {}
+
+std::string ArtifactStore::path(const std::string& key) const {
+  char name[17];
+  std::snprintf(name, sizeof(name), "%016llx",
+                static_cast<unsigned long long>(fnv1a(key)));
+  return directory_ + "/" + name + extension_;
 }
 
-void ClaimFile::release() {
-  if (path_.empty()) return;
-  std::error_code ec;
-  fs::remove(path_, ec);
-  path_.clear();
-}
-
-bool ClaimFile::holder_alive(const std::string& artifact_path) {
-  const std::string path = artifact_path + ".claim";
-  const Result<std::string> bytes = read_file_bytes(path);
-  if (!bytes.ok()) return false;  // claim gone (or vanished mid-read)
-  unsigned long long pid = 0;
-  bool parsed = !bytes->empty();
-  for (const char ch : *bytes) {
-    if (ch < '0' || ch > '9') {
-      parsed = false;
-      break;
-    }
-    pid = pid * 10 + static_cast<unsigned long long>(ch - '0');
+Status ArtifactStore::load(
+    const std::string& key,
+    const std::function<bool(std::string_view body)>& decode) const {
+  const std::string file = path(key);
+  const auto corrupt = [&file](const std::string& what) {
+    quarantine_file(file);
+    return Status{StatusCode::kCorruptArtifact,
+                  file + ": " + what + " (quarantined to " + file +
+                      ".corrupt)"};
+  };
+  Result<std::string> blob = read_framed_blob(file, magic_);
+  if (!blob.ok()) {
+    if (blob.status().code() == StatusCode::kCorruptArtifact)
+      return corrupt(blob.status().message());
+    return blob.status();  // kNotFound (miss) or kIoError, both untouched
   }
-  if (parsed) {
-    if (pid_alive(pid)) return true;
-    std::error_code ec;
-    fs::remove(path, ec);  // stale claim: holder is provably dead
-    return false;
-  }
-  // Unparseable (e.g. the holder crashed between create and write): trust it
-  // briefly — the create-to-write window is microseconds — then age it out
-  // so a crashed holder cannot wedge every later producer's wait budget.
-  std::error_code ec;
-  const auto written = fs::last_write_time(path, ec);
-  if (ec) return false;
-  if (fs::file_time_type::clock::now() - written > std::chrono::minutes(1)) {
-    fs::remove(path, ec);
-    return false;
-  }
-  return true;
-}
-
-void ClaimFile::sleep_ms(int ms) {
-#if defined(__unix__) || defined(__APPLE__)
-  timespec ts;
-  ts.tv_sec = ms / 1000;
-  ts.tv_nsec = static_cast<long>(ms % 1000) * 1000000L;
-  nanosleep(&ts, nullptr);
-#else
-  (void)ms;
-#endif
-}
-
-Status AppendFile::open(const std::string& path) {
-  close();
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr)
-    return {StatusCode::kIoError, path + ": cannot open for append"};
-  path_ = path;
+  const std::string_view payload =
+      std::string_view(*blob).substr(magic_.size() + kFrameLengthFields);
+  SerialReader reader(payload);
+  std::string stored_key;
+  if (!reader.read_string(stored_key)) return corrupt("malformed key");
+  // A different key under the same file name is an fnv1a collision: the
+  // file is healthy and belongs to someone else.
+  if (stored_key != key)
+    return Status{StatusCode::kNotFound, file + ": key collision"};
+  if (!decode(payload.substr(payload.size() - reader.remaining())))
+    return corrupt("malformed payload");
   return Status::Ok();
 }
 
-Status AppendFile::append(std::string_view bytes) {
-  if (file_ == nullptr)
-    return {StatusCode::kInvalidArgument, "append on closed file"};
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file_);
-  if (written != bytes.size() || !sync_stream(file_))
-    return {StatusCode::kIoError, path_ + ": append failed"};
+Status ArtifactStore::store(
+    const std::string& key,
+    const std::function<Status(std::string& out)>& encode) const {
+  std::string blob = open_frame(magic_, 0);
+  SerialWriter(blob).str(key);
+  if (Status status = encode(blob); !status.ok()) return status;
+  seal_frame(blob, magic_.size());
+
+  std::error_code ec;
+  fs::create_directories(directory_, ec);
+  if (ec && !fs::is_directory(directory_))
+    return {StatusCode::kIoError, directory_ + ": " + ec.message()};
+  if (Status status = atomic_write_file(path(key), blob); !status.ok())
+    return status;
+  sweep_stale_temps(directory_);
   return Status::Ok();
 }
 
-void AppendFile::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+void ArtifactStore::clear() const {
+  constexpr std::size_t kHashDigits = 16;
+  std::error_code ec;
+  fs::directory_iterator it(directory_, ec);
+  if (ec) return;
+  for (const auto& entry : it) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() != kHashDigits + extension_.size() ||
+        name.compare(kHashDigits, std::string::npos, extension_) != 0)
+      continue;
+    if (!std::all_of(name.begin(), name.begin() + kHashDigits, [](char c) {
+          return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+        }))
+      continue;
+    fs::remove(entry.path(), ec);
   }
 }
-
 }  // namespace xfa

@@ -1,7 +1,7 @@
 // Crash-safe file publication and CRC-framed artifact I/O.
 //
 // Every artifact writer in the tree (trace cache, model store, checkpoint
-// journal) funnels through this file — the xfa_lint `atomic-write` rule
+// store) funnels through this file — the xfa_lint `atomic-write` rule
 // rejects raw std::ofstream / fopen anywhere else under src/ — so the
 // crash-safety invariants live in exactly one place:
 //
@@ -11,16 +11,19 @@
 //     never a prefix, for any kill point.
 //   * write_framed_file / read_framed_payload: the shared artifact framing
 //     (magic, u64 payload size, u64 CRC64 of the payload, payload) used by
-//     XFATRC3 trace artifacts and XFAMDL1 model files. The reader validates
+//     every artifact: XFAMDL1 model files directly, XFATRC3 traces and
+//     XFACKP1 checkpoint units through ArtifactStore. The reader validates
 //     the declared size against the real file size before allocating and
 //     the checksum before parsing, so no on-disk bytes can crash a loader.
-//   * AppendFile: durable append-only writes for the checkpoint journal
-//     (fwrite + fflush + fsync per record).
+//   * ArtifactStore: a directory of keyed framed artifacts, one file per
+//     key, with fnv1a file naming, hash-collision detection and quarantine
+//     of corrupt files. The trace cache and the checkpoint store are both
+//     instances of it.
 //   * sweep_stale_temps: deletes `*.tmp` litter abandoned by writers whose
 //     embedded pid is no longer alive.
 #pragma once
 
-#include <cstdio>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -63,69 +66,53 @@ void quarantine_file(const std::string& path);
 /// 24-hour age bound. Best-effort: all filesystem errors are swallowed.
 void sweep_stale_temps(const std::string& directory);
 
-/// Cross-process single-flight claim on an artifact path. A producer about
-/// to generate `path` creates `path + ".claim"` exclusively (O_CREAT|O_EXCL)
-/// with its pid inside; a concurrent producer fails to acquire, polls for
-/// the artifact to appear, and reaps the claim when its recorded holder has
-/// died. Claims are purely an optimization handshake for work deduplication
-/// (shard workers sharing one trace cache): correctness never depends on
-/// one — a waiter whose patience runs out regenerates the artifact itself,
-/// and the atomic rename publish keeps that safe.
-class ClaimFile {
+/// A directory of keyed artifacts: one framed file per key, named
+/// `<fnv1a(key) as 16 hex digits><extension>`, whose payload starts with the
+/// key itself (a u64-length string, common/serial.h) followed by the body a
+/// codec writes. The trace cache (XFATRC3) and the checkpoint store are both
+/// this class under their own magic; neither touches files directly.
+///
+/// Every unit is a pure function of its key, so the store needs no locks:
+/// concurrent stores of one key (threads or processes) publish identical
+/// bytes through unique temps and an atomic rename, and the last rename
+/// wins. A stored artifact is durable once store() returns
+/// (atomic_write_file fsyncs the file and its directory).
+class ArtifactStore {
  public:
-  ClaimFile() = default;
-  ~ClaimFile() { release(); }
-  ClaimFile(const ClaimFile&) = delete;
-  ClaimFile& operator=(const ClaimFile&) = delete;
+  ArtifactStore(std::string directory, std::string_view magic,
+                std::string_view extension);
 
-  /// Attempts to claim `artifact_path`. Returns true when this process
-  /// should proceed as the producer: the claim was created, or claims are
-  /// not usable here (no O_EXCL support, claim directory unwritable) and
-  /// deduplication is skipped. False means a competing live producer holds
-  /// the claim.
-  bool try_acquire(const std::string& artifact_path);
+  /// On-disk path of the artifact for `key`.
+  std::string path(const std::string& key) const;
 
-  /// True while this instance holds a claim file on disk.
-  bool held() const { return !path_.empty(); }
+  /// Loads the artifact for `key` and hands the bytes after the embedded
+  /// key to `decode`. Failure statuses:
+  ///   kNotFound         no file, or a healthy file holding a different key
+  ///                     (an fnv1a collision — left untouched);
+  ///   kCorruptArtifact  the frame failed validation or `decode` returned
+  ///                     false; the file was quarantined to `<path>.corrupt`;
+  ///   kIoError          the file exists but could not be read (untouched).
+  Status load(const std::string& key,
+              const std::function<bool(std::string_view body)>& decode) const;
 
-  /// Removes the claim file (idempotent; also run by the destructor).
-  void release();
+  /// Publishes the artifact for `key`: the frame header and the key go into
+  /// one buffer, `encode` appends the body straight behind them, and the
+  /// sealed buffer is written with atomic_write_file. Creates the directory
+  /// on demand. An `encode` failure publishes nothing and is returned. A
+  /// successful store also sweeps temps abandoned by crashed writers
+  /// (sweep_stale_temps).
+  Status store(const std::string& key,
+               const std::function<Status(std::string& out)>& encode) const;
 
-  /// True when a claim exists on `artifact_path` and its recorded holder is
-  /// still alive. A claim whose holder died is deleted (stale-claim reaping)
-  /// and reported absent; an unparseable claim is trusted briefly, then
-  /// reaped on age like orphaned temps.
-  static bool holder_alive(const std::string& artifact_path);
-
-  /// Claim-poll sleep helper (waiters nap between holder_alive checks).
-  static void sleep_ms(int ms);
+  /// Deletes every artifact file of this store's naming scheme in the
+  /// directory. Other files (another store's extension, quarantined
+  /// `.corrupt` copies, anything foreign) are left alone.
+  void clear() const;
 
  private:
-  std::string path_;  // empty = not held
-};
-
-/// Durable append-only file handle for journal writers. Each append is
-/// flushed and fsync'd before returning, so a record that append() reported
-/// as written survives SIGKILL. Not thread-safe; callers serialize.
-class AppendFile {
- public:
-  AppendFile() = default;
-  ~AppendFile() { close(); }
-  AppendFile(const AppendFile&) = delete;
-  AppendFile& operator=(const AppendFile&) = delete;
-
-  /// Opens `path` for appending, creating it if missing.
-  Status open(const std::string& path);
-  bool is_open() const { return file_ != nullptr; }
-
-  /// Appends `bytes` and forces them to disk.
-  Status append(std::string_view bytes);
-
-  void close();
-
- private:
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  std::string directory_;
+  std::string magic_;
+  std::string extension_;
 };
 
 }  // namespace xfa

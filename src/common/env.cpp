@@ -38,7 +38,6 @@ EnvSnapshot read_environment() {
   read_unsigned("XFA_THREADS", &snapshot.threads);
   read_unsigned("XFA_TRACE_DEADLINE_MS", &snapshot.trace_deadline_ms);
   read_unsigned("XFA_CRASH_AFTER_UNITS", &snapshot.crash_after_units);
-  read_unsigned("XFA_CLAIM_WAIT_MS", &snapshot.claim_wait_ms);
   return snapshot;
 }
 

@@ -32,13 +32,9 @@ struct EnvSnapshot {
   /// seed so the eventual trace is byte-identical to an undeadlined run.
   int trace_deadline_ms = 0;
   /// XFA_CRASH_AFTER_UNITS: crash-injection test hook — the checkpoint
-  /// journal raises SIGKILL after this many appended units (0 = disabled).
+  /// store raises SIGKILL after this many durably stored units
+  /// (0 = disabled).
   int crash_after_units = 0;
-  /// XFA_CLAIM_WAIT_MS: how long a scenario runner waits on another
-  /// *process* already simulating the same trace (claim-file rendezvous,
-  /// common/atomic_file.h) before simulating it redundantly. 0 disables the
-  /// cross-process handshake entirely.
-  int claim_wait_ms = 30000;
 };
 
 /// The snapshot, captured on first use (thread-safe via magic static).

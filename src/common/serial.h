@@ -1,7 +1,7 @@
 // Bounds-checked binary (de)serialization primitives.
 //
 // Every persistent artifact in the tree — XFATRC3 trace-cache files,
-// XFAMDL1 model files, checkpoint-journal records — serializes through
+// XFAMDL1 model files, XFACKP1 checkpoint units — serializes through
 // SerialWriter and parses through SerialReader. The reader is a cursor over
 // an in-memory buffer whose every read fails soft when the remaining bytes
 // cannot satisfy it, so hostile counts never drive an allocation or an

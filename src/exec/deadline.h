@@ -25,7 +25,8 @@ namespace xfa {
 /// finished because it was cancelled" after the fact.
 class DeadlineGuard {
  public:
-  /// `seconds` <= 0 installs nothing (deadline disabled).
+  /// `seconds` <= 0 installs nothing (deadline disabled); a budget above
+  /// 1e9 s (about 31 years, infinity included) is clamped to it.
   explicit DeadlineGuard(double seconds);
   ~DeadlineGuard();
   DeadlineGuard(const DeadlineGuard&) = delete;

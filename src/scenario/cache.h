@@ -2,16 +2,20 @@
 // bench binary wants the same traces, so runs are persisted keyed on the
 // scenario's canonical config string.
 //
-// The store is self-healing. Artifacts use the XFATRC3 format — a CRC64
-// checksum covers the whole payload and every length field is validated
-// against the file size before any allocation, so no on-disk bytes (truncated,
-// bit-flipped, or hostile) can crash or abort the process. A file that fails
-// validation is quarantined to `<name>.trc.corrupt` and load() reports
-// kCorruptArtifact; the scenario runner then transparently regenerates it.
+// The cache is the keyed artifact store (common/atomic_file.h
+// ArtifactStore) under the XFATRC3 magic, one `<fnv1a(key)>.trc` file per
+// trace, with the trace codec from scenario/trace_serial.h as the body. It
+// is self-healing: a CRC64 covers the whole payload and every length field
+// is validated against the file size before any allocation, so no on-disk
+// bytes (truncated, bit-flipped, or hostile) can crash or abort the
+// process. A file that fails validation is quarantined to
+// `<name>.trc.corrupt` and load() reports kCorruptArtifact; the scenario
+// runner then transparently regenerates it.
 #pragma once
 
 #include <string>
 
+#include "common/atomic_file.h"
 #include "common/status.h"
 #include "scenario/runner.h"
 
@@ -32,24 +36,21 @@ class TraceCache {
   ///                     `<path>.corrupt`.
   Result<ScenarioResult> load(const std::string& key) const;
 
-  /// Atomically publishes the artifact for `key`: the payload is serialized
-  /// and checksummed in memory, then written via common/atomic_file.h — a
-  /// per-writer-unique temp file (`<path>.<pid>.<seq>.tmp`, so concurrent
-  /// stores — threads or processes — never interleave), fsync, atomic
-  /// rename. On failure the temp file is deleted and nothing is published
-  /// (kIoError). Successful stores also sweep temp files abandoned by
-  /// crashed writers — only temps whose embedded pid is dead (or that are a
-  /// day old when the name cannot be parsed); a live writer's temp is never
-  /// deleted, however slow the writer.
+  /// Atomically publishes the artifact for `key` (ArtifactStore::store): a
+  /// per-writer-unique temp file, so concurrent stores — threads or
+  /// processes — never interleave, then fsync and atomic rename. On failure
+  /// nothing is published (kIoError). Successful stores also sweep temps
+  /// abandoned by crashed writers; a live writer's temp is never deleted,
+  /// however slow the writer.
   Status store(const std::string& key, const ScenarioResult& result) const;
 
-  const std::string& directory() const { return directory_; }
-
   /// On-disk path an artifact for `key` would use (tests, tooling).
-  std::string artifact_path(const std::string& key) const;
+  std::string artifact_path(const std::string& key) const {
+    return store_.path(key);
+  }
 
  private:
-  std::string directory_;
+  ArtifactStore store_;
   bool enabled_ = true;
 };
 

@@ -3,7 +3,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -15,8 +14,10 @@
 namespace xfa {
 namespace {
 
-/// Journal file magic; version bumps get a new literal (XFAJNL2, ...).
-constexpr std::string_view kJournalMagic = "XFAJNL1";
+/// Unit-file magic and extension; version bumps get a new literal
+/// (XFACKP2, ...).
+constexpr char kUnitMagic[] = "XFACKP1";
+constexpr char kUnitExtension[] = ".ckpt";
 
 std::string hex16(std::uint64_t value) {
   char buffer[17];
@@ -27,115 +28,51 @@ std::string hex16(std::uint64_t value) {
 
 }  // namespace
 
-Status CheckpointJournal::start_fresh() {
-  std::error_code ec;
-  std::filesystem::remove(path_, ec);  // ignore: open() reports real failures
-  if (Status status = file_.open(path_); !status.ok()) return status;
-  return file_.append(kJournalMagic);
-}
+CheckpointStore::CheckpointStore() : store_({}, kUnitMagic, kUnitExtension) {}
 
-Status CheckpointJournal::open(const std::string& directory, bool resume) {
+Status CheckpointStore::open(const std::string& directory, bool resume) {
   std::error_code ec;
-  std::filesystem::create_directories(directory, ec);  // open() reports errors
-  path_ = directory + "/journal.xfaj";
-  entries_.clear();
-  replayed_ = 0;
-  appends_ = 0;
+  std::filesystem::create_directories(directory, ec);
+  if (!std::filesystem::is_directory(directory, ec))
+    return {StatusCode::kIoError, directory + ": cannot create directory"};
+  store_ = ArtifactStore(directory, kUnitMagic, kUnitExtension);
+  stores_ = 0;
   crash_after_ = env().crash_after_units;
-  file_.close();
-
-  if (!resume) return start_fresh();
-
-  Result<std::string> bytes = read_file_bytes(path_);
-  if (!bytes.ok()) {
-    // Resuming into an empty checkpoint directory is a fresh start, not an
-    // error: the caller's intent is "continue if possible".
-    if (bytes.status().code() == StatusCode::kNotFound) return start_fresh();
-    return bytes.status();
-  }
-  const std::string& data = *bytes;
-  if (data.size() < kJournalMagic.size() ||
-      std::string_view(data).substr(0, kJournalMagic.size()) !=
-          kJournalMagic) {
-    // Not ours (or hopelessly damaged): keep the bytes for post-mortems,
-    // recompute everything.
-    quarantine_file(path_);
-    return start_fresh();
-  }
-
-  // Replay. The frame bounds and checksum decide where the valid prefix
-  // ends: a torn tail (partial header, short body, bad CRC, malformed body)
-  // stops the replay, and the file is truncated back to the last good
-  // record so the reopened journal appends onto a clean boundary.
-  std::size_t pos = kJournalMagic.size();
-  while (data.size() - pos >= 16) {
-    std::uint64_t body_size = 0;
-    std::uint64_t stored_crc = 0;
-    std::memcpy(&body_size, data.data() + pos, 8);
-    std::memcpy(&stored_crc, data.data() + pos + 8, 8);
-    if (body_size > data.size() - pos - 16) break;
-    const std::string_view body(data.data() + pos + 16,
-                                static_cast<std::size_t>(body_size));
-    if (crc64(body.data(), body.size()) != stored_crc) break;
-    SerialReader reader(body);
-    std::string key;
-    std::string payload;
-    if (!reader.read_string(key) || !reader.read_string(payload) ||
-        reader.remaining() != 0) {
-      break;
-    }
-    entries_[key] = std::move(payload);  // duplicate keys: last record wins
-    ++replayed_;
-    pos += 16 + static_cast<std::size_t>(body_size);
-  }
-  if (pos < data.size()) {
-    std::filesystem::resize_file(path_, pos, ec);
-    if (ec) {
-      return {StatusCode::kIoError,
-              "cannot truncate torn journal tail of " + path_ + ": " +
-                  ec.message()};
-    }
-  }
-  return file_.open(path_);
+  if (!resume) store_.clear();
+  return Status::Ok();
 }
 
-bool CheckpointJournal::lookup(const std::string& key,
-                               std::string& payload) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  payload = it->second;
-  return true;
+bool CheckpointStore::lookup(const std::string& key,
+                             std::string& payload) const {
+  return store_
+      .load(key,
+            [&payload](std::string_view body) {
+              payload.assign(body);
+              return true;
+            })
+      .ok();
 }
 
-Status CheckpointJournal::append(const std::string& key,
-                                 std::string_view payload) {
-  std::string record;
-  {
-    std::string body;
-    SerialWriter writer(body);
-    writer.str(key);
-    writer.str(payload);
-    SerialWriter frame(record);
-    frame.size(body.size());
-    frame.pod(crc64(body.data(), body.size()));
-    record += body;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!file_.is_open())
-    return {StatusCode::kIoError, "checkpoint journal is not open"};
-  if (Status status = file_.append(record); !status.ok()) return status;
-  entries_[key] = std::string(payload);
-  // Crash-injection hook for the resume tests: the Nth record is durable
-  // (append() fsync'd it) and the process dies before doing anything else.
-  if (crash_after_ > 0 && ++appends_ >= crash_after_) std::raise(SIGKILL);
+Status CheckpointStore::append(const std::string& key,
+                               std::string_view payload) {
+  if (Status status = store_.store(key,
+                                   [payload](std::string& out) {
+                                     out.append(payload);
+                                     return Status::Ok();
+                                   });
+      !status.ok())
+    return status;
+  // Crash-injection hook for the resume tests: the Nth unit is durable
+  // (store() fsync'd it) and the process dies before doing anything else.
+  if (crash_after_ > 0 && stores_.fetch_add(1) + 1 >= crash_after_)
+    std::raise(SIGKILL);
   return Status::Ok();
 }
 
 namespace {
 
-CheckpointJournal*& journal_slot() {
-  static CheckpointJournal* installed = nullptr;
+CheckpointStore*& store_slot() {
+  static CheckpointStore* installed = nullptr;
   return installed;
 }
 
@@ -217,60 +154,62 @@ bool parse_scores_payload(const std::string& payload,
 
 }  // namespace
 
-void install_checkpoint_journal(CheckpointJournal* journal) {
-  journal_slot() = journal;
+void install_checkpoint_store(CheckpointStore* store) {
+  store_slot() = store;
 }
 
-CheckpointJournal* checkpoint_journal() { return journal_slot(); }
+CheckpointStore* checkpoint_store() { return store_slot(); }
 
-Result<JournaledDetector> train_detector_journaled(
+Result<CheckpointedDetector> train_detector_checkpointed(
     const RawTrace& train_normal, const ClassifierFactory& factory,
     const DetectorOptions& options, const RawTrace* threshold_normal) {
-  const std::string key =
-      detector_unit_key(train_normal, factory, options, threshold_normal);
-  if (CheckpointJournal* journal = checkpoint_journal()) {
+  CheckpointStore* checkpoint = checkpoint_store();
+  std::string key;
+  if (checkpoint != nullptr) {
+    key = detector_unit_key(train_normal, factory, options, threshold_normal);
     std::string payload;
-    if (journal->lookup(key, payload)) {
+    if (checkpoint->lookup(key, payload)) {
       if (Result<Detector> loaded = detector_from_payload(payload);
           loaded.ok()) {
-        return JournaledDetector{std::move(*loaded), key};
+        return CheckpointedDetector{std::move(*loaded), key};
       }
-      // A structurally-invalid journaled detector (the record's CRC held,
-      // the semantics did not): ignore and retrain; the fresh append below
-      // supersedes the bad record.
+      // A structurally-invalid stored detector (the frame's CRC held, the
+      // semantics did not): ignore and retrain; the fresh store below
+      // replaces the bad unit.
     }
   }
   Result<Detector> trained =
       train_detector_checked(train_normal, factory, options, threshold_normal);
   if (!trained.ok()) return trained.status();
-  if (CheckpointJournal* journal = checkpoint_journal()) {
+  if (checkpoint != nullptr) {
     if (Result<std::string> payload = serialize_detector(*trained);
         payload.ok()) {
-      (void)journal->append(key, *payload);  // best-effort: a failed append
-                                             // only costs resume coverage
+      (void)checkpoint->append(key, *payload);  // best-effort: a failed
+                                                // store only costs resume
+                                                // coverage
     }
   }
-  return JournaledDetector{std::move(*trained), key};
+  return CheckpointedDetector{std::move(*trained), key};
 }
 
-std::vector<EventScore> score_trace_journaled(const Detector& detector,
-                                              const std::string& detector_key,
-                                              const RawTrace& trace) {
-  CheckpointJournal* journal = checkpoint_journal();
+std::vector<EventScore> score_trace_checkpointed(
+    const Detector& detector, const std::string& detector_key,
+    const RawTrace& trace) {
+  CheckpointStore* checkpoint = checkpoint_store();
   std::string key;
-  if (journal != nullptr) {
+  if (checkpoint != nullptr) {
     key = score_unit_key(detector_key, trace);
     std::string payload;
-    if (journal->lookup(key, payload)) {
+    if (checkpoint->lookup(key, payload)) {
       std::vector<EventScore> scores;
       if (parse_scores_payload(payload, scores)) return scores;
     }
   }
   std::vector<EventScore> scores = detector.score_trace(trace);
-  if (journal != nullptr) {
+  if (checkpoint != nullptr) {
     std::string payload;
     append_scores_payload(payload, scores);
-    (void)journal->append(key, payload);
+    (void)checkpoint->append(key, payload);
   }
   return scores;
 }

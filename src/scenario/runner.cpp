@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.h"
 #include "common/env.h"
 #include "exec/deadline.h"
 #include "exec/single_flight.h"
@@ -160,50 +160,54 @@ std::uint64_t derive_retry_seed(std::uint64_t seed, int attempt) {
 /// Runs simulate() under a soft wall-clock deadline (exec/deadline.h). The
 /// scheduler polls the guard at dispatch boundaries, so a hung run unwinds
 /// within ~a poll interval of the budget; the truncated world's partial
-/// results are discarded here. `budget_ms` <= 0 runs unsupervised.
+/// results are discarded here. `budget_s` <= 0 runs unsupervised.
 Result<ScenarioResult> simulate_with_deadline(const ScenarioConfig& config,
-                                              int budget_ms) {
-  if (budget_ms <= 0) return simulate(config);
-  DeadlineGuard guard(static_cast<double>(budget_ms) * 1e-3);
+                                              double budget_s) {
+  if (budget_s <= 0) return simulate(config);
+  DeadlineGuard guard(budget_s);
   ScenarioResult result = simulate(config);
   if (guard.exceeded()) {
+    char budget[32];
+    std::snprintf(budget, sizeof budget, "%.3f s", budget_s);
     return Status{StatusCode::kDeadlineExceeded,
-                  "scenario simulation exceeded its " +
-                      std::to_string(budget_ms) + " ms deadline"};
+                  std::string("scenario simulation exceeded its ") + budget +
+                      " deadline"};
   }
   return result;
 }
 
-/// The checkpoint-journal unit key for a trace (namespaced cache key).
+/// The checkpoint unit key for a trace (namespaced cache key).
 std::string trace_unit_key(const std::string& key) { return "trace/" + key; }
 
-/// Cache-load-or-simulate for one config, labels not yet applied. This is
-/// the section the single-flight guard protects: everything in here is a
-/// pure function of the config (retries included), so one execution serves
-/// every concurrent requester of the same key.
+/// Checkpoint, then cache, then simulate (with retries), then store — for
+/// one config, labels not yet applied. This is the section the single-flight
+/// guard protects: everything in here is a pure function of the config
+/// (retries included), so one execution serves every concurrent requester
+/// of the same key. Shard workers never share a key (the shard partition is
+/// exact), and a redundant racing store publishes identical bytes, so no
+/// cross-process coordination is needed.
 Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
                                         const std::string& key) {
-  // Resume path: a journaled trace unit short-circuits both the cache and
-  // the simulation. The payload is CRC-guarded at replay; the semantic
-  // validation below catches records written by older builds.
-  CheckpointJournal* journal = checkpoint_journal();
-  if (journal != nullptr) {
+  // Resume path: a stored trace unit short-circuits both the cache and the
+  // simulation. The payload is CRC-guarded by the store; the semantic
+  // validation below catches units written by older builds.
+  CheckpointStore* checkpoint = checkpoint_store();
+  if (checkpoint != nullptr) {
     std::string payload;
-    if (journal->lookup(trace_unit_key(key), payload)) {
-      bool key_mismatch = false;
-      ScenarioResult journaled;
-      if (parse_scenario_payload(payload, key, key_mismatch, journaled) &&
-          !key_mismatch && validate_scenario_result(journaled).ok()) {
-        return journaled;
-      }
+    ScenarioResult stored;
+    if (checkpoint->lookup(trace_unit_key(key), payload) &&
+        parse_scenario_payload(payload, stored) &&
+        validate_scenario_result(stored).ok()) {
+      return stored;
     }
   }
-  // Journals a finished trace so a resumed run skips the cache entirely.
-  const auto journal_trace = [journal, &key](const ScenarioResult& result) {
-    if (journal == nullptr) return;
+  // Checkpoints a finished trace so a resumed run skips the cache entirely.
+  const auto checkpoint_trace = [checkpoint,
+                                 &key](const ScenarioResult& result) {
+    if (checkpoint == nullptr) return;
     std::string payload;
-    if (append_scenario_payload(payload, key, result).ok())
-      (void)journal->append(trace_unit_key(key), payload);
+    if (append_scenario_payload(payload, result).ok())
+      (void)checkpoint->append(trace_unit_key(key), payload);
   };
   // Constructed per call (cheap: reads of the env snapshot) so tests can
   // toggle XFA_NO_CACHE between scenarios via refresh_env_for_testing().
@@ -212,7 +216,7 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
     // A checksum-valid artifact can still be semantically degenerate (stored
     // by an older build with laxer validation); treat it like a miss.
     if (validate_scenario_result(*cached).ok()) {
-      journal_trace(*cached);
+      checkpoint_trace(*cached);
       return std::move(*cached);
     }
   }
@@ -224,36 +228,6 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
                   "trace not in cache under --merge (did every shard worker "
                   "complete?): " + key};
   }
-  // Cross-process dedup: shard workers sharing one cache directory cannot
-  // see each other's in-process single-flight, so the first producer of a
-  // key claims it on disk (common/atomic_file.h) and the rest poll for the
-  // artifact instead of re-simulating. Advisory only: a dead holder is
-  // reaped, and a waiter whose budget expires simulates anyway.
-  ClaimFile claim;
-  if (cache.enabled() && env().claim_wait_ms > 0) {
-    const std::string artifact = cache.artifact_path(key);
-    constexpr int kPollMs = 50;
-    int waited_ms = 0;
-    for (;;) {
-      if (claim.try_acquire(artifact)) break;
-      if (!ClaimFile::holder_alive(artifact)) continue;  // reaped: re-try
-      if (waited_ms >= env().claim_wait_ms) break;       // produce anyway
-      ClaimFile::sleep_ms(kPollMs);
-      waited_ms += kPollMs;
-      if (Result<ScenarioResult> produced = cache.load(key);
-          produced.ok() && validate_scenario_result(*produced).ok()) {
-        journal_trace(*produced);
-        return std::move(*produced);
-      }
-    }
-    // Whether claimed or timed out, the holder may have published between
-    // our first cache miss and now: adopt its artifact over re-simulating.
-    if (Result<ScenarioResult> produced = cache.load(key);
-        produced.ok() && validate_scenario_result(*produced).ok()) {
-      journal_trace(*produced);
-      return std::move(*produced);
-    }
-  }
   // kNotFound falls through to simulation; kCorruptArtifact additionally
   // quarantined the bad file inside load() — regeneration is the self-heal.
   //
@@ -262,9 +236,10 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
   //     number (a different world may be healthy);
   //   * deadline overruns re-simulate with the SAME seed and a doubled
   //     budget — the trace a slow run would have produced is the trace the
-  //     retry must produce, or determinism breaks.
+  //     retry must produce, or determinism breaks. The budget is carried in
+  //     double seconds, which doubling cannot overflow.
   const int retries = env().scenario_retries;
-  int budget_ms = env().trace_deadline_ms;
+  double budget_s = static_cast<double>(env().trace_deadline_ms) * 1e-3;
   Status last;
   ScenarioConfig attempt = config;
   int degenerate_attempts = 0;
@@ -274,7 +249,7 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
                        ? config.seed
                        : derive_retry_seed(config.seed, degenerate_attempts);
     Result<ScenarioResult> simulated = simulate_with_deadline(attempt,
-                                                              budget_ms);
+                                                              budget_s);
     if (!simulated.ok()) {
       last = simulated.status();
       if (++deadline_overruns > retries) {
@@ -283,7 +258,7 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
                           std::to_string(deadline_overruns) +
                           " attempt(s): " + last.message()};
       }
-      budget_ms *= 2;
+      budget_s *= 2;
       continue;
     }
     last = validate_scenario_result(*simulated);
@@ -292,7 +267,7 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
       // so the key still maps to exactly one trace. A failed store only
       // costs the next caller a re-simulation.
       cache.store(key, *simulated);
-      journal_trace(*simulated);
+      checkpoint_trace(*simulated);
       return std::move(*simulated);
     }
     if (++degenerate_attempts > retries) break;

@@ -51,7 +51,9 @@ Status validate_scenario_result(const ScenarioResult& result);
 /// Concurrency-safe: every call owns an isolated simulation world, and an
 /// in-flight single-flight guard keyed on the cache key makes concurrent
 /// requests for the same trace simulate exactly once — each caller then
-/// labels its own copy per its policy.
+/// labels its own copy per its policy. Across processes there is no
+/// handshake: shard workers own disjoint keys, and two processes that do
+/// simulate one key publish identical bytes by atomic rename.
 ///
 /// Recovery path: a corrupt cache artifact is quarantined and the trace
 /// regenerated; a degenerate run is retried up to XFA_SCENARIO_RETRIES
@@ -66,15 +68,15 @@ Status validate_scenario_result(const ScenarioResult& result);
 /// the trace the slow run would have), up to the same retry count. Returns
 /// kDeadlineExceeded when every attempt overran.
 ///
-/// Checkpoint integration: when a checkpoint journal is installed
-/// (scenario/checkpoint.h), completed traces are journaled and a resumed
-/// run loads them back instead of re-simulating.
+/// Checkpoint integration: when a checkpoint store is installed
+/// (scenario/checkpoint.h), completed traces are stored as checkpoint units
+/// and a resumed run loads them back instead of re-simulating.
 Result<ScenarioResult> run_scenario_checked(
     const ScenarioConfig& config, LabelPolicy policy = LabelPolicy::OnsetOnwards);
 
 /// Strict cache-only mode for sharded merges (xfa_bench --merge): while set,
 /// run_scenario_checked never simulates — a trace missing from both the
-/// checkpoint journal and the cache is a kNotFound error naming the key,
+/// checkpoint store and the cache is a kNotFound error naming the key,
 /// meaning some shard worker has not completed. Process-wide; flip it before
 /// any plan runs.
 void set_require_cached_traces(bool require);

@@ -1,11 +1,10 @@
 #include "scenario/trace_serial.h"
 
-
 #include "common/serial.h"
 
 namespace xfa {
 
-Status append_scenario_payload(std::string& out, const std::string& key,
+Status append_scenario_payload(std::string& out,
                                const ScenarioResult& result) {
   const std::size_t columns =
       result.trace.rows.empty() ? 0 : result.trace.rows.front().size();
@@ -14,7 +13,6 @@ Status append_scenario_payload(std::string& out, const std::string& key,
       return {StatusCode::kInvalidArgument, "ragged trace rows"};
 
   SerialWriter writer(out);
-  writer.str(key);
   writer.doubles(result.trace.times);
   writer.size(result.trace.rows.size());
   writer.size(columns);
@@ -32,15 +30,8 @@ Status append_scenario_payload(std::string& out, const std::string& key,
   return Status::Ok();
 }
 
-bool parse_scenario_payload(const std::string& payload, const std::string& key,
-                            bool& key_mismatch, ScenarioResult& result) {
+bool parse_scenario_payload(std::string_view payload, ScenarioResult& result) {
   SerialReader reader(payload);
-  std::string stored_key;
-  if (!reader.read_string(stored_key)) return false;
-  if (stored_key != key) {  // fnv1a hash collision: valid file, other key
-    key_mismatch = true;
-    return false;
-  }
   if (!reader.read_doubles(result.trace.times)) return false;
   std::size_t rows = 0, columns = 0;
   if (!reader.read_size(rows) || !reader.read_size(columns)) return false;

@@ -129,7 +129,7 @@ class EnvSnapshotTest : public ::testing::Test {
  protected:
   static constexpr const char* kNames[] = {
       "XFA_SCENARIO_RETRIES", "XFA_THREADS", "XFA_TRACE_DEADLINE_MS",
-      "XFA_CRASH_AFTER_UNITS", "XFA_CLAIM_WAIT_MS"};
+      "XFA_CRASH_AFTER_UNITS"};
 
   void SetUp() override {
     for (std::size_t i = 0; i < std::size(kNames); ++i) {
@@ -155,30 +155,30 @@ TEST_F(EnvSnapshotTest, StrictIntegersOverrideDefaults) {
   setenv("XFA_THREADS", "3", 1);
   setenv("XFA_TRACE_DEADLINE_MS", "250", 1);
   setenv("XFA_CRASH_AFTER_UNITS", "7", 1);
-  setenv("XFA_CLAIM_WAIT_MS", "0", 1);
   refresh_env_for_testing();
   EXPECT_EQ(env().scenario_retries, 0);
   EXPECT_EQ(env().threads, 3u);
   EXPECT_EQ(env().trace_deadline_ms, 250);
   EXPECT_EQ(env().crash_after_units, 7);
-  EXPECT_EQ(env().claim_wait_ms, 0);
 }
 
 TEST_F(EnvSnapshotTest, MalformedOrOutOfRangeValuesKeepDefaults) {
   // A unit suffix, plain text, a sign and an int overflow: none may become
-  // a number ("abc" as 0 would silently disable claim files).
+  // a number ("abc" as 0 would silently disable scenario retries).
   setenv("XFA_TRACE_DEADLINE_MS", "10s", 1);
-  setenv("XFA_CLAIM_WAIT_MS", "abc", 1);
-  setenv("XFA_SCENARIO_RETRIES", "-1", 1);
+  setenv("XFA_SCENARIO_RETRIES", "abc", 1);
   setenv("XFA_THREADS", "+4", 1);
   setenv("XFA_CRASH_AFTER_UNITS", "99999999999", 1);  // > INT_MAX
   refresh_env_for_testing();
   const EnvSnapshot defaults;
   EXPECT_EQ(env().trace_deadline_ms, defaults.trace_deadline_ms);
-  EXPECT_EQ(env().claim_wait_ms, defaults.claim_wait_ms);
   EXPECT_EQ(env().scenario_retries, defaults.scenario_retries);
   EXPECT_EQ(env().threads, defaults.threads);
   EXPECT_EQ(env().crash_after_units, defaults.crash_after_units);
+
+  setenv("XFA_SCENARIO_RETRIES", "-1", 1);
+  refresh_env_for_testing();
+  EXPECT_EQ(env().scenario_retries, defaults.scenario_retries);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <thread>
 
 #include "common/env.h"
@@ -59,10 +60,16 @@ TEST(DeadlineGuardTest, FiresAfterBudgetElapses) {
 }
 
 TEST(DeadlineGuardTest, GenerousBudgetDoesNotFire) {
-  DeadlineGuard guard(300.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(guard.exceeded());
-  EXPECT_FALSE(deadline_exceeded());
+  // Budgets past the clock's range, up to the infinity a retry budget
+  // reaches after enough doublings, must not wrap into a past deadline.
+  for (const double seconds : {300.0, 1e12, 1e300,
+                               std::numeric_limits<double>::infinity()}) {
+    DeadlineGuard guard(seconds);
+    ASSERT_TRUE(guard.active()) << seconds;
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_FALSE(guard.exceeded()) << seconds;
+    EXPECT_FALSE(deadline_exceeded()) << seconds;
+  }
 }
 
 TEST(DeadlineGuardTest, NestedGuardRestoresOuterToken) {

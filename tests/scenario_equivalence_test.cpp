@@ -2,8 +2,8 @@
 // be wired by hand in C++ must produce the byte-identical trace when it is
 // instead loaded from an examples/scenarios/*.scn file — same RNG stream
 // assignment, same construction order — at pool sizes 1 and 8. Identity is
-// checked on the serialized trace payload (scenario/trace_serial.h), the
-// same bytes the cache and the checkpoint journal persist.
+// checked on the serialized trace body (scenario/trace_serial.h), the same
+// bytes the cache and the checkpoint store persist behind the key.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -81,8 +81,7 @@ class ScenarioEquivalenceTest : public ::testing::Test {
     EXPECT_TRUE(status.ok()) << status.to_string();
     if (!outcome.ok()) return {};
     std::string payload;
-    EXPECT_TRUE(
-        append_scenario_payload(payload, config.cache_key(), *outcome).ok());
+    EXPECT_TRUE(append_scenario_payload(payload, *outcome).ok());
     return payload;
   }
 

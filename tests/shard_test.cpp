@@ -5,8 +5,8 @@
 // ends of the thread spectrum, a merge over an incomplete cache fails
 // loudly instead of silently re-simulating, two shard workers racing on
 // the same cache directory leave exactly one artifact per unit and zero
-// .tmp/.claim/.corrupt litter, and a signed --threads/--shard value is a
-// usage error.
+// .tmp/.corrupt litter, and a signed --threads/--shard value is a usage
+// error.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -45,9 +45,9 @@ bool exited_zero(int status) {
   return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
-/// Cache-directory census: .trc artifacts versus everything else (claim
-/// files, temp files, quarantined corpses — all of which must be gone once
-/// the workers exit).
+/// Cache-directory census: .trc artifacts versus everything else (temp
+/// files, quarantined corpses — all of which must be gone once the workers
+/// exit).
 struct CacheCensus {
   std::size_t artifacts = 0;
   std::vector<std::string> litter;
@@ -199,9 +199,9 @@ TEST_F(ShardTest, ConcurrentWorkersOneArtifactPerUnitNoLitter) {
   const std::string reference = read_file(ref_out);
 
   // Two full shard workers (--shard=0/1 owns every unit) race on one cache
-  // directory: the claim protocol must dedup the simulations or at worst
-  // let both publish identical bytes — either way exactly one .trc per unit
-  // survives and neither process may fail.
+  // directory: both simulate every unit and publish identical bytes through
+  // unique temps and atomic renames — exactly one .trc per unit survives
+  // and neither process may fail.
   const std::string cache_dir = cache("race");
   const std::string worker = "XFA_FAST=1 XFA_NO_CACHE=0 XFA_CACHE_DIR=" +
                              cache_dir + " " + XFA_BENCH_BINARY +

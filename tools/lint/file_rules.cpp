@@ -339,9 +339,9 @@ void rule_atomic_write(const Ctx& c) {
     c.report(i, "atomic-write",
              "'" + opener +
                  "' writes a file without crash-safe publication; route the "
-                 "bytes through atomic_write_file / write_framed_file / "
-                 "AppendFile (common/atomic_file.h) so a kill at any "
-                 "instant cannot leave a torn artifact");
+                 "bytes through atomic_write_file / write_framed_file "
+                 "(common/atomic_file.h) so a kill at any instant cannot "
+                 "leave a torn artifact");
   }
 }
 
