@@ -242,7 +242,7 @@ void bench_fanout(bool quick) {
   auto start = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
     // What the channel does per broadcast: one allocation, then a refcount
-    // bump per receiver lambda.
+    // bump per receiver delivery.
     const PacketPtr shared = std::make_shared<const Packet>(pkt);
     shared_handles.clear();
     for (std::size_t r = 0; r < kReceivers; ++r)
@@ -271,7 +271,8 @@ void bench_fanout(bool quick) {
 /// Full AODV/UDP simulation worlds at growing node count under constant
 /// spatial density (the field edge scales with sqrt(N), ~50 nodes per
 /// 1000x1000 m — the paper's density), reported as dispatched scheduler
-/// events per second. This is the scale-out axis (DESIGN.md §15): route
+/// events per second (a fault-free transmission is one event however many
+/// nodes receive it, DESIGN.md §10). This is the scale-out axis (DESIGN.md §15): route
 /// tables, the neighbor grid, the event heap and the audit log must keep
 /// the per-event cost flat as N grows 100 → 10k. The worlds match the
 /// examples/scenarios/scale-1000.scn family (60 s, seed 5100, 60 CBR

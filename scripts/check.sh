@@ -98,13 +98,15 @@ run_pass "asan+ubsan" build-check-sanitize \
 # model_io_test, the CheckpointStore torn/foreign unit-file cases), the
 # crash-injection kill/resume harness (crash_resume_test — SIGKILLed
 # xfa_bench subprocesses, all sanitized), the fault-injection layer
-# (faults_test, degraded_cfa_test), and the determinism-under-faults guard
-# must all hold with sanitizers armed and caching disabled — no on-disk
-# bytes may crash the process, no kill point may lose or corrupt a stored
-# checkpoint unit, and no chaos path may contain UB.
+# (faults_test, degraded_cfa_test), the determinism-under-faults guard, and
+# the channel's pooled arrival records (the ChannelTest re-entrancy cases and
+# the FanOut batched-vs-per-receiver world comparison) must all hold with
+# sanitizers armed and caching disabled — no on-disk bytes may crash the
+# process, no kill point may lose or corrupt a stored checkpoint unit, and no
+# chaos or arrival-pool path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel' \
+  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be

@@ -1,13 +1,16 @@
 // Move-only `void()` callable with small-buffer storage.
 //
 // The discrete-event scheduler stores one callback per pending event; with
-// std::function every packet delivery pays a heap allocation because the
-// capture (receiver, packet handle, sender id) never fits libstdc++'s tiny
-// inline buffer, and std::function additionally requires copyability, which
-// forbids capturing move-only state. InlineFunction gives the hot path a
-// 56-byte inline buffer (enough for every per-delivery lambda the channel
-// creates) and falls back to the heap only for genuinely large captures
-// (e.g. a relayed Packet moved into a jittered rebroadcast).
+// std::function a capture such as (receiver, packet handle, sender id) never
+// fits libstdc++'s tiny inline buffer, so each one pays a heap allocation,
+// and std::function additionally requires copyability, which forbids
+// capturing move-only state. InlineFunction gives the hot path a 56-byte
+// inline buffer — enough for every event the channel schedules (a
+// fault-free transmission's arrival event captures only the channel and a
+// pool index; fault-path deliveries and link failures capture a node, a
+// packet handle and an id or two) — and falls back to the heap only for
+// genuinely large captures (e.g. a relayed Packet moved into a jittered
+// rebroadcast).
 #pragma once
 
 #include <cstddef>

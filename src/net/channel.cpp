@@ -60,9 +60,9 @@ void Channel::transmit(NodeId from, Packet pkt, NodeId to) {
 
   const SimTime delay =
       transmission_delay(pkt) + rng_.uniform(0, config_.max_jitter_s);
-  // One immutable packet shared by every receiver/tap/link-failure event
-  // scheduled below (zero-copy fan-out): lambdas capture a refcount bump
-  // instead of a deep copy of the vector-bearing routing headers.
+  // One immutable packet shared by every arrival/link-failure event
+  // scheduled below (zero-copy fan-out): receivers read through a refcount
+  // bump instead of a deep copy of the vector-bearing routing headers.
   const PacketPtr shared = std::make_shared<const Packet>(std::move(pkt));
   // Connectivity is evaluated at transmit time; at these speeds nodes move
   // < 1 mm within the delay, so this matches evaluating at arrival time.
@@ -71,56 +71,9 @@ void Channel::transmit(NodeId from, Packet pkt, NodeId to) {
   // traces byte-identical.
   receiver_scratch_.clear();
   index_.in_range_of(from, sim_.now(), receiver_scratch_);
-  bool unicast_delivered = false;
-  for (const NodeId rid : receiver_scratch_) {
-    Node* receiver = nodes_[static_cast<std::size_t>(rid)];
-    if (faults_ != nullptr &&
-        (faults_->node_down(rid) || faults_->link_down(from, rid))) {
-      ++stats_.fault_link_drops;
-      continue;
-    }
-    if (config_.loss_rate > 0 && rng_.chance(config_.loss_rate)) {
-      ++stats_.random_losses;
-      continue;
-    }
-    SimTime rx_delay = delay;
-    if (faults_ != nullptr) {
-      if (faults_->loses_delivery()) {
-        ++stats_.fault_burst_losses;
-        continue;
-      }
-      // A corrupted frame fails the receiver CRC: dropped on arrival, and a
-      // corrupted unicast leaves unicast_delivered false so the sender gets
-      // the same missing-ACK feedback as any other loss.
-      if (faults_->corrupts_delivery()) {
-        ++stats_.fault_corrupted;
-        continue;
-      }
-      rx_delay += faults_->extra_delay();
-    }
-    if (to == kBroadcast || rid == to) {
-      if (rid == to) unicast_delivered = true;
-      ++stats_.deliveries;
-      sim_.after(rx_delay, [receiver, shared, from] {
-        receiver->deliver(shared, from);
-      });
-      // MAC retransmission whose ACK was lost: the receiver sees the frame
-      // twice, slightly reordered against other traffic.
-      if (faults_ != nullptr && faults_->duplicates_delivery()) {
-        ++stats_.fault_duplicates;
-        ++stats_.deliveries;
-        sim_.after(rx_delay + faults_->extra_delay(),
-                   [receiver, shared, from] {
-                     receiver->deliver(shared, from);
-                   });
-      }
-    } else if (config_.promiscuous_taps) {
-      ++stats_.taps;
-      sim_.after(rx_delay, [receiver, shared, from, to] {
-        receiver->overhear(*shared, from, to);
-      });
-    }
-  }
+  const bool unicast_delivered =
+      faults_ == nullptr ? schedule_arrival(shared, from, to, delay)
+                         : schedule_faulted(shared, from, to, delay);
 
   if (to != kBroadcast && !unicast_delivered) {
     ++stats_.unicast_failures;
@@ -129,6 +82,118 @@ void Channel::transmit(NodeId from, Packet pkt, NodeId to) {
     sim_.after(delay + 0.01,
                [sender, shared, to] { sender->link_failure(*shared, to); });
   }
+}
+
+bool Channel::schedule_arrival(const PacketPtr& pkt, NodeId from, NodeId to,
+                               SimTime delay) {
+  std::uint32_t index;
+  if (free_arrivals_.empty()) {
+    index = static_cast<std::uint32_t>(arrivals_.size());
+    arrivals_.emplace_back();
+  } else {
+    index = free_arrivals_.back();
+    free_arrivals_.pop_back();
+  }
+  Arrival& arrival = arrivals_[index];
+  bool unicast_delivered = false;
+  for (const NodeId rid : receiver_scratch_) {
+    if (config_.loss_rate > 0 && rng_.chance(config_.loss_rate)) {
+      ++stats_.random_losses;
+      continue;
+    }
+    if (to == kBroadcast || rid == to) {
+      if (rid == to) unicast_delivered = true;
+      ++stats_.deliveries;
+    } else if (config_.promiscuous_taps) {
+      ++stats_.taps;
+    } else {
+      continue;
+    }
+    arrival.receivers.push_back(rid);
+  }
+  if (arrival.receivers.empty()) {
+    free_arrivals_.push_back(index);
+    return unicast_delivered;
+  }
+  arrival.packet = pkt;
+  arrival.from = from;
+  arrival.to = to;
+  // Every arrival of this transmission shares one time, so per-receiver
+  // events would have taken consecutive sequence numbers: one event walking
+  // the receivers in the same order dispatches them identically, and
+  // whatever a receiver schedules is sequenced after the whole batch either
+  // way (DESIGN.md §10).
+  sim_.after(delay, [this, index] { arrive(index); });
+  return unicast_delivered;
+}
+
+void Channel::arrive(std::uint32_t index) {
+  // Moved out for the walk: a receiver may transmit from its handler, which
+  // can grow arrivals_ and invalidate references into it. The slot itself
+  // stays off the free list until the walk is done.
+  Arrival arrival = std::move(arrivals_[index]);
+  for (const NodeId rid : arrival.receivers) {
+    Node* receiver = nodes_[static_cast<std::size_t>(rid)];
+    if (arrival.to == kBroadcast || rid == arrival.to) {
+      receiver->deliver(arrival.packet, arrival.from);
+    } else {
+      receiver->overhear(*arrival.packet, arrival.from, arrival.to);
+    }
+  }
+  arrival.packet.reset();
+  arrival.receivers.clear();
+  arrivals_[index] = std::move(arrival);
+  free_arrivals_.push_back(index);
+}
+
+bool Channel::schedule_faulted(const PacketPtr& pkt, NodeId from, NodeId to,
+                               SimTime delay) {
+  bool unicast_delivered = false;
+  for (const NodeId rid : receiver_scratch_) {
+    Node* receiver = nodes_[static_cast<std::size_t>(rid)];
+    if (faults_->node_down(rid) || faults_->link_down(from, rid)) {
+      ++stats_.fault_link_drops;
+      continue;
+    }
+    if (config_.loss_rate > 0 && rng_.chance(config_.loss_rate)) {
+      ++stats_.random_losses;
+      continue;
+    }
+    if (faults_->loses_delivery()) {
+      ++stats_.fault_burst_losses;
+      continue;
+    }
+    // A corrupted frame fails the receiver CRC: dropped on arrival, and a
+    // corrupted unicast leaves unicast_delivered false so the sender gets
+    // the same missing-ACK feedback as any other loss.
+    if (faults_->corrupts_delivery()) {
+      ++stats_.fault_corrupted;
+      continue;
+    }
+    const SimTime rx_delay = delay + faults_->extra_delay();
+    if (to == kBroadcast || rid == to) {
+      if (rid == to) unicast_delivered = true;
+      ++stats_.deliveries;
+      sim_.after(rx_delay, [receiver, pkt, from] {
+        receiver->deliver(pkt, from);
+      });
+      // MAC retransmission whose ACK was lost: the receiver sees the frame
+      // twice, slightly reordered against other traffic.
+      if (faults_->duplicates_delivery()) {
+        ++stats_.fault_duplicates;
+        ++stats_.deliveries;
+        sim_.after(rx_delay + faults_->extra_delay(), [receiver, pkt, from] {
+          receiver->deliver(pkt, from);
+        });
+      }
+    } else if (config_.promiscuous_taps) {
+      ++stats_.taps;
+      sim_.after(rx_delay, [receiver, pkt, from, to] {
+        receiver->overhear(*pkt, from, to);
+      });
+    }
+  }
+  return unicast_delivered;
 }
 
 }  // namespace xfa

@@ -73,6 +73,8 @@ struct ChannelStats {
   std::uint64_t fault_burst_losses = 0;   // lost to an interference burst
   std::uint64_t fault_corrupted = 0;      // CRC-rejected at the receiver
   std::uint64_t fault_duplicates = 0;     // duplicate deliveries generated
+
+  bool operator==(const ChannelStats&) const = default;
 };
 
 class Channel {
@@ -108,7 +110,27 @@ class Channel {
   void set_fault_model(FaultModel* faults) { faults_ = faults; }
 
  private:
+  /// One fault-free transmission's surviving receivers, all arriving at the
+  /// same instant. `to` decides per receiver: the target (or everyone, for a
+  /// broadcast) gets deliver(), the rest overhear().
+  struct Arrival {
+    PacketPtr packet;
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+    std::vector<NodeId> receivers;  // ascending ids
+  };
+
   SimTime transmission_delay(const Packet& pkt) const;
+  /// Fault-free fan-out: one pooled Arrival and one scheduler event.
+  /// Returns whether the unicast target received the packet.
+  bool schedule_arrival(const PacketPtr& pkt, NodeId from, NodeId to,
+                        SimTime delay);
+  /// Fan-out under a FaultModel: one event per delivery, since each draws
+  /// its own extra delay. Same return contract as schedule_arrival().
+  bool schedule_faulted(const PacketPtr& pkt, NodeId from, NodeId to,
+                        SimTime delay);
+  /// Event body of schedule_arrival(): walks the record, then recycles it.
+  void arrive(std::uint32_t index);
 
   Simulator& sim_;
   const MobilityModel& mobility_;
@@ -121,6 +143,11 @@ class Channel {
   NeighborIndex index_;
   // Reused per transmit: the exact in-range receiver set, ascending ids.
   mutable std::vector<NodeId> receiver_scratch_;
+  // Arrival records addressed by index (a pending event holds only its
+  // index, so the pool may grow while records are in flight); released
+  // records keep their receiver capacity for reuse.
+  std::vector<Arrival> arrivals_;
+  std::vector<std::uint32_t> free_arrivals_;
 };
 
 }  // namespace xfa

@@ -75,13 +75,13 @@ void NeighborIndex::rebuild(SimTime t) const {
   members_.resize(node_count_);
   // Fill in ascending node-id order so each cell's member list is sorted by
   // id.
-  std::vector<std::uint32_t> cursor(starts_.begin(), starts_.end() - 1);
+  cursor_.assign(starts_.begin(), starts_.end() - 1);
   for (std::size_t i = 0; i < node_count_; ++i) {
     const std::size_t c =
         static_cast<std::size_t>(cell_coord(positions_[i].y) - grid_y0_) *
             static_cast<std::size_t>(grid_w_) +
         static_cast<std::size_t>(cell_coord(positions_[i].x) - grid_x0_);
-    members_[cursor[c]++] = static_cast<NodeId>(i);
+    members_[cursor_[c]++] = static_cast<NodeId>(i);
   }
   built_ = true;
   built_at_ = t;

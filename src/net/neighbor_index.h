@@ -87,6 +87,7 @@ class NeighborIndex {
   mutable std::vector<std::uint32_t> starts_;
   mutable std::vector<NodeId> members_;
   mutable std::vector<Vec2> positions_;  // rebuild scratch (position reuse)
+  mutable std::vector<std::uint32_t> cursor_;  // rebuild scratch (fill slots)
   mutable std::vector<NodeId> scratch_;
   mutable Stats stats_;
 };

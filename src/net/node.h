@@ -32,6 +32,8 @@ struct RoutingStats {
   std::uint64_t control_originated = 0;
   std::uint64_t control_forwarded = 0;
   std::uint64_t rerr_sent = 0;
+
+  bool operator==(const RoutingStats&) const = default;
 };
 
 /// Interface every routing agent (AODV, DSR) implements. The node owns one.

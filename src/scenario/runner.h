@@ -25,6 +25,9 @@ struct ScenarioSummary {
   std::uint64_t data_originated = 0;
   std::uint64_t data_delivered = 0;
   double packet_delivery_ratio = 0;
+  /// Scheduler events dispatched. A fault-free transmission's arrivals are
+  /// one event however many nodes receive it, so this counts dispatches,
+  /// not deliveries (those are in `channel`).
   std::uint64_t scheduler_events = 0;
   ChannelStats channel;
   RoutingStats monitor_routing;

@@ -1,13 +1,19 @@
 // Unit tests: packet model, wireless channel, node plumbing.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "audit/audit.h"
+#include "features/extract.h"
+#include "features/schema.h"
 #include "mobility/waypoint.h"
 #include "net/channel.h"
 #include "net/node.h"
+#include "scenario/config.h"
+#include "scenario/graph/builder.h"
+#include "scenario/graph/registry.h"
 #include "sim/simulator.h"
 
 namespace xfa {
@@ -19,6 +25,7 @@ class RecordingProtocol final : public RoutingProtocol {
   void send_data(Packet&& pkt) override { sent.push_back(pkt); }
   void receive(PacketPtr pkt, NodeId from) override {
     received.emplace_back(*pkt, from);
+    if (on_receive) on_receive(*pkt);
   }
   void tap(const Packet& pkt, NodeId from, NodeId to) override {
     taps.push_back({pkt, from, to});
@@ -40,6 +47,8 @@ class RecordingProtocol final : public RoutingProtocol {
   };
   std::vector<Tap> taps;
   std::vector<std::pair<Packet, NodeId>> failures;
+  /// Runs after each receive is recorded (re-entrancy tests).
+  std::function<void(const Packet&)> on_receive;
 };
 
 ChannelConfig no_jitter() {
@@ -216,6 +225,153 @@ TEST(ChannelTest, UidAssignedOnTransmit) {
   EXPECT_NE(rig.protocols[1]->received[0].first.uid,
             rig.protocols[1]->received[1].first.uid);
   EXPECT_NE(rig.protocols[1]->received[0].first.uid, 0u);
+}
+
+TEST(ChannelTest, ZeroDelayEventFromFirstReceiverRunsAfterLastReceiver) {
+  Rig rig(4, 10.0);
+  std::vector<int> order;
+  for (int i = 1; i < 4; ++i) {
+    rig.protocols[static_cast<std::size_t>(i)]->on_receive =
+        [&rig, &order, i](const Packet&) {
+          order.push_back(i);
+          if (i == 1) rig.sim.after(0, [&order] { order.push_back(-1); });
+        };
+  }
+  Packet pkt;
+  pkt.src = 0;
+  pkt.dst = kBroadcast;
+  rig.channel.transmit(0, pkt, kBroadcast);
+  rig.sim.run();
+  // Same-time events are FIFO: the follow-up is sequenced after every
+  // arrival of the broadcast that was already in flight.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, -1}));
+}
+
+TEST(ChannelTest, TransmitFromInsideDeliverIsSafe) {
+  Rig rig(4, 10.0);
+  // Each receiver of the HELLO rebroadcasts at once, so every relay
+  // transmits while the HELLO's arrival walk is still in progress.
+  for (std::size_t i = 1; i < 4; ++i) {
+    rig.protocols[i]->on_receive = [&rig, i](const Packet& pkt) {
+      if (pkt.kind != PacketKind::Hello) return;
+      Packet relay;
+      relay.kind = PacketKind::RouteRequest;
+      relay.src = static_cast<NodeId>(i);
+      relay.dst = kBroadcast;
+      rig.channel.transmit(static_cast<NodeId>(i), relay, kBroadcast);
+    };
+  }
+  Packet hello;
+  hello.kind = PacketKind::Hello;
+  hello.src = 0;
+  hello.dst = kBroadcast;
+  rig.channel.transmit(0, hello, kBroadcast);
+  rig.sim.run();
+
+  EXPECT_EQ(rig.channel.stats().transmissions, 4u);
+  EXPECT_EQ(rig.channel.stats().deliveries, 12u);
+  ASSERT_EQ(rig.protocols[0]->received.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k)
+    EXPECT_EQ(rig.protocols[0]->received[k].second, static_cast<NodeId>(k + 1));
+  for (std::size_t i = 1; i < 4; ++i) {
+    const auto& received = rig.protocols[i]->received;
+    ASSERT_EQ(received.size(), 3u) << "node " << i;
+    EXPECT_EQ(received[0].first.kind, PacketKind::Hello);
+    EXPECT_EQ(received[1].first.kind, PacketKind::RouteRequest);
+    EXPECT_EQ(received[2].first.kind, PacketKind::RouteRequest);
+  }
+}
+
+/// Fault hooks that never fire: nothing is down, lost, corrupted or
+/// duplicated, and nothing is delayed. Installing it sends every arrival
+/// down the per-receiver fault path with fault-free timing and RNG draws.
+class TransparentFaults final : public FaultModel {
+ public:
+  bool node_down(NodeId) const override { return false; }
+  bool link_down(NodeId, NodeId) const override { return false; }
+  bool loses_delivery() override { return false; }
+  bool corrupts_delivery() override { return false; }
+  bool duplicates_delivery() override { return false; }
+  SimTime extra_delay() override { return 0; }
+};
+
+struct WorldRun {
+  RawTrace trace;
+  ChannelStats channel;
+  std::vector<RoutingStats> routing;  // per node
+  std::uint64_t events = 0;
+};
+
+/// The scenario runner's simulate-and-extract, with `faults` installed on
+/// the channel before the world is built.
+WorldRun run_world(const ScenarioConfig& config, FaultModel* faults) {
+  Simulator sim(config.seed);
+  RandomWaypointMobility mobility(config.node_count, config.mobility,
+                                  Rng(config.mobility_seed));
+  ChannelConfig channel_config = config.channel;
+  channel_config.promiscuous_taps = element_for(config.routing).promiscuous;
+  channel_config.max_node_speed = config.mobility.max_speed;
+  Channel channel(sim, mobility, channel_config);
+  channel.set_fault_model(faults);
+  const auto world = build_scenario(config, sim, channel);
+
+  Node& monitor = world->monitor(config);
+  SampledNodeState state;
+  const auto samples = static_cast<std::size_t>(
+      config.duration / config.sample_interval + 1e-9);
+  for (std::size_t i = 0; i < samples; ++i) {
+    const SimTime t = config.sample_interval * static_cast<double>(i + 1);
+    sim.at(t, [&state, &mobility, &monitor, &config, t] {
+      state.velocity.push_back(mobility.speed(config.monitor_node, t));
+      state.average_route_len.push_back(
+          monitor.routing().average_route_length());
+    });
+  }
+  sim.run_until(config.duration);
+
+  const FeatureSchema schema = FeatureSchema::standard();
+  WorldRun run;
+  run.trace = FeatureExtractor(schema, config.sample_interval)
+                  .extract(world->monitor_audit, state, config.duration);
+  run.channel = channel.stats();
+  for (const auto& node : world->nodes)
+    run.routing.push_back(node->routing().stats());
+  run.events = sim.scheduler().dispatched();
+  return run;
+}
+
+void expect_batched_fan_out_matches_per_receiver(RoutingKind routing,
+                                                 TransportKind transport) {
+  ScenarioConfig config;
+  config.routing = routing;
+  config.transport = transport;
+  config.duration = 600;
+  config.traffic.max_connections = 20;
+  TransparentFaults transparent;
+  const WorldRun batched = run_world(config, nullptr);
+  const WorldRun per_receiver = run_world(config, &transparent);
+
+  ASSERT_FALSE(batched.trace.rows.empty());
+  EXPECT_EQ(batched.trace.times, per_receiver.trace.times);
+  EXPECT_EQ(batched.trace.rows, per_receiver.trace.rows);
+  EXPECT_EQ(batched.channel, per_receiver.channel);
+  EXPECT_EQ(batched.routing, per_receiver.routing);
+  // Same arrivals, fewer dispatches: the batched path really ran.
+  EXPECT_GT(batched.channel.deliveries, 0u);
+  if (element_for(routing).promiscuous) {
+    EXPECT_GT(batched.channel.taps, 0u);
+  }
+  EXPECT_LT(batched.events, per_receiver.events);
+}
+
+TEST(FanOutEquivalence, AodvUdpWorldMatchesPerReceiverPath) {
+  expect_batched_fan_out_matches_per_receiver(RoutingKind::Aodv,
+                                              TransportKind::Udp);
+}
+
+TEST(FanOutEquivalence, DsrTcpWorldMatchesPerReceiverPath) {
+  expect_batched_fan_out_matches_per_receiver(RoutingKind::Dsr,
+                                              TransportKind::Tcp);
 }
 
 TEST(NodeTest, SendDataLogsAuditAndRoutesToProtocol) {
