@@ -35,10 +35,11 @@
 //   ripper-train         RIPPER fit (grow/prune decision list) through the
 //                        view with reused shuffle/coverage scratch.
 //   nbc-train            Naive Bayes fit: one column pass per feature into
-//                        the flattened conditional table.
+//                        the flattened [value, unseen][class] table.
 //   score-throughput     CrossFeatureModel::score_all over a discrete trace
-//                        (allocation-free predict_dist scoring, block-
-//                        parallel on the shared pool).
+//                        (each sub-model's predict_block kernel over 64-row
+//                        column-major blocks, block-parallel on the shared
+//                        pool).
 //
 // --quick shrinks the iteration counts so the run doubles as a CI
 // correctness smoke: every kernel self-checks its results with XFA_CHECK

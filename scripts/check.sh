@@ -100,13 +100,15 @@ run_pass "asan+ubsan" build-check-sanitize \
 # xfa_bench subprocesses, all sanitized), the fault-injection layer
 # (faults_test, degraded_cfa_test), the determinism-under-faults guard, and
 # the channel's pooled arrival records (the ChannelTest re-entrancy cases and
-# the FanOut batched-vs-per-receiver world comparison) must all hold with
-# sanitizers armed and caching disabled — no on-disk bytes may crash the
-# process, no kill point may lose or corrupt a stored checkpoint unit, and no
-# chaos or arrival-pool path may contain UB.
+# the FanOut batched-vs-per-receiver world comparison), and the block scoring
+# kernels and branch-free discretizer, which index tables and cut rows by
+# row values (BlockKernelTest feeds them negative and out-of-range values),
+# must all hold with sanitizers armed and caching disabled — no on-disk bytes
+# may crash the process, no kill point may lose or corrupt a stored
+# checkpoint unit, and no chaos, arrival-pool or kernel path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut' \
+  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|DiscretizerBranchless' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be
@@ -121,7 +123,7 @@ cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
 cmake --build build-check-tsan -j "${JOBS}"
 echo "=== tsan: concurrency suites ==="
 ctest --test-dir build-check-tsan -j "${JOBS}" \
-  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|Deadline|Shard|FeatSel' \
+  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|BlockKernel|DiscretizerBranchless|Deadline|Shard|FeatSel' \
   --output-on-failure
 
 echo "All checks passed."

@@ -1,6 +1,7 @@
 #include "cfa/model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 #include <tuple>
@@ -26,20 +27,13 @@ bool is_constant_column(std::span<const std::int32_t> column) {
   return true;
 }
 
-/// Rows scored per parallel_for task: big enough to amortize dispatch,
-/// small enough to load-balance a 2000-row trace across the pool.
-constexpr std::size_t kScoreBlock = 64;
-
 /// What one sub-model C_i says about an event whose f_i(x) is `truth`.
 struct SubmodelReading {
   int predicted = 0;       // argmax class: Algorithm 2 matches iff == truth
   double probability = 0;  // p(f_i(x)|x), Algorithm 3; 0 for an unseen value
 };
 
-SubmodelReading read_submodel(const Classifier& submodel,
-                              const std::vector<int>& row, int truth,
-                              std::span<double> scratch) {
-  const std::span<const double> dist = submodel.predict_dist(row, scratch);
+SubmodelReading read_submodel(std::span<const double> dist, int truth) {
   SubmodelReading reading;
   reading.predicted = static_cast<int>(argmax(dist));
   if (truth >= 0 && static_cast<std::size_t>(truth) < dist.size())
@@ -148,34 +142,42 @@ Status CrossFeatureModel::train(const Dataset& normal_data,
   return Status::Ok();
 }
 
-EventScore CrossFeatureModel::score_with(const std::vector<int>& row,
-                                         std::vector<double>& scratch) const {
+void CrossFeatureModel::score_block(const RowBlock& block,
+                                    std::span<double> scratch,
+                                    EventScore* out) const {
+  std::array<std::span<const double>, kScoreBlock> dists;
+  std::array<double, kScoreBlock> matches{};
+  std::array<double, kScoreBlock> probabilities{};
+  const std::span<std::span<const double>> block_dists(dists.data(),
+                                                       block.rows);
+  for (std::size_t i = 0; i < submodels_.size(); ++i) {
+    submodels_[i]->predict_block(block, scratch, block_dists);
+    const std::int32_t* const truth = block.column(label_columns_[i]);
+    for (std::size_t r = 0; r < block.rows; ++r) {
+      const SubmodelReading reading = read_submodel(dists[r], truth[r]);
+      if (reading.predicted == truth[r]) matches[r] += 1.0;
+      probabilities[r] += reading.probability;
+    }
+  }
+  const auto count = static_cast<double>(submodels_.size());
+  for (std::size_t r = 0; r < block.rows; ++r)
+    out[r] = {matches[r] / count, probabilities[r] / count};
+}
+
+EventScore CrossFeatureModel::score(const std::vector<int>& row) const {
   XFA_CHECK(trained());
   // Checked before ANY sub-model predicts: every sub-model reads the other
   // label columns as features, so a narrow row must be rejected up front,
   // not when the loop happens to reach an out-of-range label column.
   XFA_CHECK_LE(schema_width_, row.size())
       << "row narrower than the trained schema";
-  scratch.resize(max_dist_size_);  // no-op once the caller's buffer is sized
-  EventScore score;
-  const auto count = static_cast<double>(submodels_.size());
-  for (std::size_t i = 0; i < submodels_.size(); ++i) {
-    const int truth = row[label_columns_[i]];
-    const SubmodelReading reading =
-        read_submodel(*submodels_[i], row, truth, scratch);
-    if (reading.predicted == truth) score.avg_match_count += 1.0;
-    score.avg_probability += reading.probability;
-  }
-  score.avg_match_count /= count;
-  score.avg_probability /= count;
-  return score;
-}
-
-EventScore CrossFeatureModel::score(const std::vector<int>& row) const {
   // Reused across calls (per thread) so single-event scoring in a loop is
-  // as allocation-free as the batched path; score_with sizes it per model.
+  // allocation-free; sized per model.
   thread_local std::vector<double> scratch;
-  return score_with(row, scratch);
+  scratch.resize(max_dist_size_);
+  EventScore score;
+  score_block(RowBlock{row.data(), 1, 1}, scratch, &score);
+  return score;
 }
 
 std::vector<CrossFeatureModel::SubmodelVerdict> CrossFeatureModel::explain(
@@ -190,8 +192,8 @@ std::vector<CrossFeatureModel::SubmodelVerdict> CrossFeatureModel::explain(
     SubmodelVerdict verdict;
     verdict.label_column = label_columns_[i];
     verdict.observed = row[label_columns_[i]];
-    const SubmodelReading reading =
-        read_submodel(*submodels_[i], row, verdict.observed, scratch);
+    const SubmodelReading reading = read_submodel(
+        submodels_[i]->predict_dist(row, scratch), verdict.observed);
     verdict.predicted = reading.predicted;
     verdict.matched = verdict.predicted == verdict.observed;
     verdict.probability = reading.probability;
@@ -210,18 +212,38 @@ std::vector<CrossFeatureModel::SubmodelVerdict> CrossFeatureModel::explain(
 
 std::vector<EventScore> CrossFeatureModel::score_all(
     const std::vector<std::vector<int>>& rows) const {
-  std::vector<EventScore> scores(rows.size());
-  if (rows.empty()) return scores;
-  // Each block task owns one scratch buffer and writes only its own slots;
-  // per-row arithmetic does not depend on the blocking, so the output is
-  // byte-identical for any pool size (including the serial case).
-  const std::size_t blocks = (rows.size() + kScoreBlock - 1) / kScoreBlock;
+  for (const std::vector<int>& row : rows)
+    XFA_CHECK_LE(schema_width_, row.size())
+        << "row narrower than the trained schema";
+  // Only the columns a sub-model reads are transposed.
+  return score_all(rows.size(), schema_width_,
+                   [&](std::size_t first, std::size_t count,
+                       std::int32_t* out) {
+                     for (std::size_t r = 0; r < count; ++r)
+                       for (std::size_t c = 0; c < schema_width_; ++c)
+                         out[c * kScoreBlock + r] = rows[first + r][c];
+                   });
+}
+
+std::vector<EventScore> CrossFeatureModel::score_all(
+    std::size_t rows, std::size_t columns, const BlockFill& fill) const {
+  std::vector<EventScore> scores(rows);
+  if (rows == 0) return scores;
+  XFA_CHECK(trained());
+  XFA_CHECK_LE(schema_width_, columns)
+      << "matrix narrower than the trained schema";
+  // Each block task owns its block and scratch buffers and writes only its
+  // own slots; per-row arithmetic does not depend on the blocking, so the
+  // output is byte-identical for any pool size (including the serial case).
+  const std::size_t blocks = (rows + kScoreBlock - 1) / kScoreBlock;
   parallel_for(shared_pool(), blocks, [&](std::size_t b) {
-    std::vector<double> scratch(max_dist_size_);
-    const std::size_t lo = b * kScoreBlock;
-    const std::size_t hi = std::min(lo + kScoreBlock, rows.size());
-    for (std::size_t i = lo; i < hi; ++i)
-      scores[i] = score_with(rows[i], scratch);
+    std::vector<std::int32_t> values(kScoreBlock * columns);
+    std::vector<double> scratch(kScoreBlock * max_dist_size_);
+    const std::size_t first = b * kScoreBlock;
+    const std::size_t count = std::min(kScoreBlock, rows - first);
+    fill(first, count, values.data());
+    score_block(RowBlock{values.data(), kScoreBlock, count}, scratch,
+                scores.data() + first);
   });
   return scores;
 }

@@ -11,7 +11,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -136,18 +139,34 @@ class CrossFeatureModel {
   /// untrained.
   Status load_payload(SerialReader& in);
 
-  /// Scores every row of a trace/dataset. Row blocks are scored in parallel
-  /// on the shared pool with slot-indexed writes, so the result is
-  /// byte-identical to the serial per-row loop for any thread count.
+  /// Scores every row of a trace/dataset (row-major; rows at least
+  /// schema_width() wide), transposing one block at a time.
   std::vector<EventScore> score_all(
       const std::vector<std::vector<int>>& rows) const;
 
+  /// Writes rows [first, first + count) of the caller's event matrix as a
+  /// column-major block: row first + r, column c at out[c * kScoreBlock + r]
+  /// for every c below the `columns` given to score_all. Called
+  /// concurrently from pool workers.
+  using BlockFill = std::function<void(std::size_t first, std::size_t count,
+                                       std::int32_t* out)>;
+
+  /// Scores `rows` events of `columns` (>= schema_width()) values each,
+  /// fetched through `fill` kScoreBlock rows at a time straight into the
+  /// layout the sub-models read. Blocks are scored in parallel on the
+  /// shared pool with slot-indexed writes, so the result is byte-identical
+  /// to per-row score() for any thread count.
+  std::vector<EventScore> score_all(std::size_t rows, std::size_t columns,
+                                    const BlockFill& fill) const;
+
  private:
-  /// One-pass Algorithm 2/3 with a caller-owned scratch buffer (resized to
-  /// the widest sub-model's label cardinality; reused across rows so the
-  /// per-event hot path is allocation-free).
-  EventScore score_with(const std::vector<int>& row,
-                        std::vector<double>& scratch) const;
+  /// Algorithms 2 and 3 for every row of `block`, into out[0, block.rows).
+  /// Each sub-model scores the whole block in turn, and each row's two sums
+  /// take one term per sub-model in sub-model order — exactly the additions
+  /// a one-row block makes — so scores do not depend on the blocking.
+  /// `scratch` holds block.rows * max_dist_size_ doubles.
+  void score_block(const RowBlock& block, std::span<double> scratch,
+                   EventScore* out) const;
 
   std::vector<std::size_t> label_columns_;
   std::vector<std::size_t> skipped_columns_;

@@ -1,7 +1,9 @@
 #include "features/discretize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/check.h"
 #include "common/serial.h"
@@ -30,7 +32,7 @@ void EqualFrequencyDiscretizer::fit(
   }
 
   const std::size_t columns = rows.front().size();
-  boundaries_.assign(columns, {});
+  std::vector<std::vector<double>> boundaries(columns);
   std::vector<double> values(sample.size());
   for (std::size_t c = 0; c < columns; ++c) {
     for (std::size_t r = 0; r < sample.size(); ++r)
@@ -39,7 +41,7 @@ void EqualFrequencyDiscretizer::fit(
 
     // Cut points at the 1/b, 2/b, ... quantiles; duplicates merge (a column
     // dominated by one value, e.g. all zeros, ends up with fewer buckets).
-    std::vector<double>& cuts = boundaries_[c];
+    std::vector<double>& cuts = boundaries[c];
     for (int b = 1; b < buckets_; ++b) {
       const std::size_t idx =
           std::min(values.size() - 1,
@@ -66,14 +68,38 @@ void EqualFrequencyDiscretizer::fit(
     XFA_CHECK(std::is_sorted(cuts.begin(), cuts.end()));
     XFA_CHECK_LT(static_cast<int>(cuts.size()), buckets_);
   }
+  set_cuts(boundaries);
 }
+
+void EqualFrequencyDiscretizer::set_cuts(
+    const std::vector<std::vector<double>>& cuts) {
+  width_ = 0;
+  cut_count_.resize(cuts.size());
+  for (std::size_t c = 0; c < cuts.size(); ++c) {
+    cut_count_[c] = cuts[c].size();
+    width_ = std::max(width_, cuts[c].size());
+  }
+  cuts_.assign(cuts.size() * width_, std::numeric_limits<double>::infinity());
+  for (std::size_t c = 0; c < cuts.size(); ++c)
+    std::copy(cuts[c].begin(), cuts[c].end(), cuts_.begin() + c * width_);
+}
+
+namespace {
+
+/// Number of entries of the padded cut row below `value`: branch-free, and
+/// equal to lower_bound's index into the unpadded cuts.
+int count_below(const double* cuts, std::size_t width, double value) {
+  int below = 0;
+  for (std::size_t k = 0; k < width; ++k) below += cuts[k] < value ? 1 : 0;
+  return below;
+}
+
+}  // namespace
 
 int EqualFrequencyDiscretizer::transform_value(std::size_t column,
                                                double value) const {
-  XFA_CHECK_LT(column, boundaries_.size());
-  const std::vector<double>& cuts = boundaries_[column];
-  const auto it = std::lower_bound(cuts.begin(), cuts.end(), value);
-  const int bucket = static_cast<int>(it - cuts.begin());
+  XFA_CHECK_LT(column, cut_count_.size());
+  const int bucket = count_below(cuts_.data() + column * width_, width_, value);
   XFA_DCHECK(bucket >= 0 && bucket < cardinality(column));
   return bucket;
 }
@@ -83,15 +109,21 @@ Status EqualFrequencyDiscretizer::save_state(SerialWriter& out) const {
     return {StatusCode::kInvalidArgument, "discretizer save before fit"};
   out.pod(static_cast<std::int32_t>(buckets_));
   out.pod(min_relative_gap_);
-  out.size(boundaries_.size());
-  for (const std::vector<double>& cuts : boundaries_) out.doubles(cuts);
+  out.size(cut_count_.size());
+  for (std::size_t c = 0; c < cut_count_.size(); ++c) {
+    const auto row = cuts_.begin() + static_cast<std::ptrdiff_t>(c * width_);
+    out.doubles(std::vector<double>(
+        row, row + static_cast<std::ptrdiff_t>(cut_count_[c])));
+  }
   return Status::Ok();
 }
 
 Status EqualFrequencyDiscretizer::load_state(SerialReader& in) {
   const Status corrupt{StatusCode::kCorruptArtifact,
                        "discretizer: malformed cut points"};
-  boundaries_.clear();
+  cuts_.clear();
+  cut_count_.clear();
+  width_ = 0;
 
   std::int32_t buckets = 0;
   double min_relative_gap = 0;
@@ -103,17 +135,28 @@ Status EqualFrequencyDiscretizer::load_state(SerialReader& in) {
   if (columns > in.remaining() / sizeof(std::uint64_t)) return corrupt;
   std::vector<std::vector<double>> boundaries(columns);
   for (std::vector<double>& cuts : boundaries) {
-    // fit()'s postconditions, re-checked so transform_value's binary search
-    // stays well-defined on loaded state: sorted cuts, fewer than buckets_.
+    // fit()'s postconditions, re-checked so a bucket count stays a
+    // lower_bound index on loaded state: sorted NaN-free cuts, fewer than
+    // buckets_.
     if (!in.read_doubles(cuts) ||
         cuts.size() >= static_cast<std::size_t>(buckets) ||
+        std::any_of(cuts.begin(), cuts.end(),
+                    [](double cut) { return std::isnan(cut); }) ||
         !std::is_sorted(cuts.begin(), cuts.end()))
       return corrupt;
   }
   buckets_ = buckets;
   min_relative_gap_ = min_relative_gap;
-  boundaries_ = std::move(boundaries);
+  set_cuts(boundaries);
   return Status::Ok();
+}
+
+void EqualFrequencyDiscretizer::transform_row(const std::vector<double>& row,
+                                              std::int32_t* out,
+                                              std::size_t stride) const {
+  XFA_CHECK_EQ(row.size(), cut_count_.size());
+  for (std::size_t c = 0; c < row.size(); ++c)
+    out[c * stride] = count_below(cuts_.data() + c * width_, width_, row[c]);
 }
 
 DiscreteTrace EqualFrequencyDiscretizer::transform(
@@ -122,18 +165,28 @@ DiscreteTrace EqualFrequencyDiscretizer::transform(
   DiscreteTrace out;
   out.times = trace.times;
   out.labels = trace.labels;
-  out.cardinality.resize(boundaries_.size());
-  for (std::size_t c = 0; c < boundaries_.size(); ++c)
+  out.cardinality.resize(cut_count_.size());
+  for (std::size_t c = 0; c < cut_count_.size(); ++c)
     out.cardinality[c] = cardinality(c);
   out.rows.reserve(trace.rows.size());
   for (const auto& row : trace.rows) {
-    XFA_CHECK_EQ(row.size(), boundaries_.size());
     std::vector<int> discrete(row.size());
-    for (std::size_t c = 0; c < row.size(); ++c)
-      discrete[c] = transform_value(c, row[c]);
+    transform_row(row, discrete.data(), 1);
     out.rows.push_back(std::move(discrete));
   }
   return out;
+}
+
+void EqualFrequencyDiscretizer::transform_rows(const RawTrace& trace,
+                                               std::size_t first,
+                                               std::size_t count,
+                                               std::int32_t* out,
+                                               std::size_t stride) const {
+  XFA_CHECK(fitted());
+  XFA_CHECK_LE(first + count, trace.rows.size());
+  XFA_CHECK_LE(count, stride);
+  for (std::size_t r = 0; r < count; ++r)
+    transform_row(trace.rows[first + r], out + r, stride);
 }
 
 }  // namespace xfa

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -46,11 +47,11 @@ class EqualFrequencyDiscretizer {
   void fit(const std::vector<std::vector<double>>& rows,
            std::size_t max_fit_rows = 0, std::uint64_t seed = 7);
 
-  bool fitted() const { return !boundaries_.empty(); }
+  bool fitted() const { return !cut_count_.empty(); }
 
   /// Number of columns the fitted mapping covers (transform requires rows
   /// exactly this wide).
-  std::size_t columns() const { return boundaries_.size(); }
+  std::size_t columns() const { return cut_count_.size(); }
 
   /// Maps a value of `column` to its bucket index.
   int transform_value(std::size_t column, double value) const;
@@ -58,9 +59,16 @@ class EqualFrequencyDiscretizer {
   /// Applies the fitted mapping to a whole trace.
   DiscreteTrace transform(const RawTrace& trace) const;
 
+  /// Applies the fitted mapping to rows [first, first + count) of a trace,
+  /// written column-major (the layout the scoring blocks read): the bucket
+  /// of row first + r in column c lands at out[c * stride + r].
+  void transform_rows(const RawTrace& trace, std::size_t first,
+                      std::size_t count, std::int32_t* out,
+                      std::size_t stride) const;
+
   /// Effective number of buckets for a column (ties can merge buckets).
   int cardinality(std::size_t column) const {
-    return static_cast<int>(boundaries_[column].size()) + 1;
+    return static_cast<int>(cut_count_[column]) + 1;
   }
 
   int requested_buckets() const { return buckets_; }
@@ -72,16 +80,29 @@ class EqualFrequencyDiscretizer {
   Status save_state(SerialWriter& out) const;
 
   /// Restores state written by save_state. Cut vectors are re-validated
-  /// (sorted, bounded counts) so a hostile payload yields kCorruptArtifact
-  /// rather than undefined transform behaviour; on failure the discretizer
-  /// is left unfitted.
+  /// (sorted, NaN-free, bounded counts) so a hostile payload yields
+  /// kCorruptArtifact rather than undefined transform behaviour; on failure
+  /// the discretizer is left unfitted.
   Status load_state(SerialReader& in);
 
  private:
+  /// Installs per-column ascending cut vectors as the padded flat table.
+  void set_cuts(const std::vector<std::vector<double>>& cuts);
+  /// Buckets one full-width row into out[c * stride] for every column c.
+  void transform_row(const std::vector<double>& row, std::int32_t* out,
+                     std::size_t stride) const;
+
   int buckets_;
   double min_relative_gap_;
-  // boundaries_[c] holds ascending cut points; value <= cut[i] -> bucket i.
-  std::vector<std::vector<double>> boundaries_;
+  // Cut points as one flat table with a row of width_ entries per column:
+  // cuts_[c * width_ + k] is column c's k-th ascending cut for k <
+  // cut_count_[c] and +inf after that, and width_ is the largest cut count.
+  // A value's bucket is the number of cuts below it (value <= cut[i] ->
+  // bucket i), which is lower_bound's index for every double, NaN included:
+  // NaN and the +inf padding compare below nothing.
+  std::vector<double> cuts_;
+  std::vector<std::size_t> cut_count_;
+  std::size_t width_ = 0;
 };
 
 }  // namespace xfa

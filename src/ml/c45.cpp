@@ -113,7 +113,7 @@ void C45::fit(const DatasetView& view,
   grow(view, scratch, *root_, 0, view.rows(), 0, feature_columns,
        label_column);
   if (config_.prune) prune_node(*root_);
-  cache_distributions(*root_);
+  flatten();
 }
 
 void C45::grow(const DatasetView& view, FitScratch& scratch, TreeNode& node,
@@ -314,27 +314,54 @@ double C45::prune_node(TreeNode& node) {
   return subtree_errors;
 }
 
-void C45::cache_distributions(TreeNode& node) {
-  // Every node gets a distribution, not just leaves: walk() stops at an
-  // internal node when it meets an attribute value unseen in training.
-  node.dist = laplace_distribution(node.class_counts);
-  for (const auto& child : node.children) cache_distributions(*child);
-}
-
-const C45::TreeNode* C45::walk(const std::vector<int>& row) const {
-  XFA_CHECK(root_ != nullptr) << "predict before fit";
-  const TreeNode* node = root_.get();
-  while (!node->children.empty()) {
-    const auto v = static_cast<std::size_t>(row[node->split_column]);
-    if (v >= node->children.size()) break;  // unseen value: stop here
-    node = node->children[v].get();
+void C45::flatten() {
+  split_column_.clear();
+  first_child_.clear();
+  child_count_.clear();
+  node_dist_.clear();
+  // Exact reservations: the table outlives fit's scratch, so growth-by-
+  // doubling would leave freed holes among long-lived allocations.
+  const std::size_t nodes = count_nodes(*root_);
+  split_column_.reserve(nodes);
+  first_child_.reserve(nodes);
+  child_count_.reserve(nodes);
+  node_dist_.reserve(nodes * static_cast<std::size_t>(label_cardinality_));
+  std::vector<const TreeNode*> order{root_.get()};
+  order.reserve(nodes);
+  for (std::size_t n = 0; n < order.size(); ++n) {
+    const TreeNode& node = *order[n];
+    split_column_.push_back(node.children.empty() ? 0 : node.split_column);
+    first_child_.push_back(static_cast<std::uint32_t>(order.size()));
+    child_count_.push_back(static_cast<std::uint32_t>(node.children.size()));
+    for (const auto& child : node.children) order.push_back(child.get());
+    const std::vector<double> dist = laplace_distribution(node.class_counts);
+    node_dist_.insert(node_dist_.end(), dist.begin(), dist.end());
   }
-  return node;
 }
 
-std::span<const double> C45::predict_dist(
-    const std::vector<int>& row, std::span<double> /*scratch*/) const {
-  return walk(row)->dist;
+void C45::predict_block(const RowBlock& block, std::span<double> /*scratch*/,
+                        std::span<std::span<const double>> dists) const {
+  XFA_CHECK(root_ != nullptr) << "predict before fit";
+  XFA_CHECK_LE(block.rows, kScoreBlock);
+  XFA_CHECK_GE(dists.size(), block.rows);
+  // All rows start at the root. A row at a leaf, or at a node whose split
+  // value it never saw in training (negative values wrap to huge unsigned
+  // ones), stays where it is.
+  std::uint32_t node[kScoreBlock] = {};
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (std::size_t r = 0; r < block.rows; ++r) {
+      const std::uint32_t n = node[r];
+      const auto v =
+          static_cast<std::uint32_t>(block.column(split_column_[n])[r]);
+      const std::uint32_t next = v < child_count_[n] ? first_child_[n] + v : n;
+      moved |= next != n;
+      node[r] = next;
+    }
+  }
+  const auto classes = static_cast<std::size_t>(label_cardinality_);
+  for (std::size_t r = 0; r < block.rows; ++r)
+    dists[r] = {node_dist_.data() + node[r] * classes, classes};
 }
 
 std::size_t C45::count_nodes(const TreeNode& node) {
@@ -397,7 +424,7 @@ std::size_t C45::depth() const { return root_ ? subtree_depth(*root_) : 0; }
 
 void C45::save_node(SerialWriter& out, const TreeNode& node) {
   // The cached Laplace dist is intentionally omitted: load recomputes it
-  // through cache_distributions(), the same arithmetic fit ran, so the
+  // through flatten(), the same arithmetic fit ran, so the
   // restored distributions are bit-identical without trusting stored ones.
   out.doubles(node.class_counts);
   out.size(node.split_column);
@@ -460,7 +487,7 @@ Status C45::load_state(SerialReader& in, std::size_t max_columns) {
     return {StatusCode::kCorruptArtifact, "C4.5: malformed tree"};
   }
   root_ = std::move(root);
-  cache_distributions(*root_);
+  flatten();
   return Status::Ok();
 }
 

@@ -32,10 +32,12 @@ class C45 final : public Classifier {
   void fit(const DatasetView& view,
            const std::vector<std::size_t>& feature_columns,
            std::size_t label_column) override;
-  /// Zero-copy: the leaf's Laplace distribution cached at fit time;
-  /// `scratch` is unused.
-  std::span<const double> predict_dist(
-      const std::vector<int>& row, std::span<double> scratch) const override;
+  /// Block kernel over the flattened node table: every pass moves each row
+  /// of the block down one level, branch-free, until no row moves. The
+  /// spans point at the reached nodes' Laplace distributions cached at fit
+  /// time; `scratch` is unused.
+  void predict_block(const RowBlock& block, std::span<double> scratch,
+                     std::span<std::span<const double>> dists) const override;
   const char* name() const override { return "C4.5"; }
   std::size_t label_cardinality() const override {
     return label_cardinality_ > 0
@@ -60,7 +62,6 @@ class C45 final : public Classifier {
   struct TreeNode {
     // Leaf when children is empty.
     std::vector<double> class_counts;  // training distribution at this node
-    std::vector<double> dist;          // cached Laplace distribution
     std::size_t split_column = 0;      // valid for internal nodes
     std::vector<std::unique_ptr<TreeNode>> children;  // per attribute value
   };
@@ -114,10 +115,10 @@ class C45 final : public Classifier {
             std::size_t label_column);
   /// Pessimistic-error pruning; returns the subtree's estimated error count.
   double prune_node(TreeNode& node);
-  /// Fills every node's cached Laplace distribution (run after pruning, so
-  /// the per-predict smoothing arithmetic happens exactly once per node).
-  static void cache_distributions(TreeNode& node);
-  const TreeNode* walk(const std::vector<int>& row) const;
+  /// Rebuilds the flattened node table from the (pruned) tree, including
+  /// every node's Laplace distribution, so the per-predict smoothing
+  /// arithmetic happens exactly once per node.
+  void flatten();
   static std::size_t count_nodes(const TreeNode& node);
   static std::size_t subtree_depth(const TreeNode& node);
   static void save_node(SerialWriter& out, const TreeNode& node);
@@ -128,6 +129,16 @@ class C45 final : public Classifier {
   C45Config config_;
   std::unique_ptr<TreeNode> root_;
   int label_cardinality_ = 0;
+  // The tree in breadth-first struct-of-arrays form: node n tests column
+  // split_column_[n] and its child for value v < child_count_[n] is node
+  // first_child_[n] + v (a leaf has no children and tests column 0). Every
+  // node, not just every leaf, has a distribution at
+  // node_dist_[n * label_cardinality_]: a walk stops at an internal node
+  // when it meets a value unseen there in training.
+  std::vector<std::size_t> split_column_;
+  std::vector<std::uint32_t> first_child_;
+  std::vector<std::uint32_t> child_count_;
+  std::vector<double> node_dist_;
 };
 
 }  // namespace xfa

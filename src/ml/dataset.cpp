@@ -1,8 +1,17 @@
 #include "ml/dataset.h"
 
+#include <type_traits>
 #include <vector>
 
 namespace xfa {
+
+std::span<const double> Classifier::predict_dist(
+    const std::vector<int>& row, std::span<double> scratch) const {
+  static_assert(std::is_same_v<int, std::int32_t>);  // rows alias blocks
+  std::span<const double> dist;
+  predict_block(RowBlock{row.data(), 1, 1}, scratch, {&dist, 1});
+  return dist;
+}
 
 int Classifier::predict(const std::vector<int>& row) const {
   std::vector<double> scratch(label_cardinality());

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -29,6 +30,23 @@ struct Dataset {
   std::size_t columns() const { return cardinality.size(); }
 };
 
+/// Rows scored per block: one RIPPER row bitmask word.
+inline constexpr std::size_t kScoreBlock = 64;
+
+/// Up to kScoreBlock rows of a column-major matrix in the DatasetView
+/// layout: the value of row r in column c sits at values[c * stride + r].
+/// It must cover every column the classifier reads. A full-width row-major
+/// row is the one-row block with stride 1.
+struct RowBlock {
+  const std::int32_t* values = nullptr;
+  std::size_t stride = 0;  // distance between consecutive columns
+  std::size_t rows = 0;    // 1..kScoreBlock
+
+  const std::int32_t* column(std::size_t c) const {
+    return values + c * stride;
+  }
+};
+
 /// Supervised classifier over nominal features with probabilistic output.
 class Classifier {
  public:
@@ -42,15 +60,23 @@ class Classifier {
                    const std::vector<std::size_t>& feature_columns,
                    std::size_t label_column) = 0;
 
-  /// p(l|x) over the label's value space for a full-width row (the
+  /// p(l|x) over the label's value space for every row of `block` (the
   /// classifier reads only its feature columns) — the p(f_i(x)|x) of
-  /// Algorithm 3. The span either points at state cached at fit time (C4.5
-  /// leaves, RIPPER rules) or aliases `scratch` after writing into it (NBC),
-  /// so `scratch` must be at least label_cardinality() wide; callers size
-  /// one buffer and reuse it per row. Valid until the next fit/load on this
-  /// classifier or the next write to `scratch`.
-  virtual std::span<const double> predict_dist(
-      const std::vector<int>& row, std::span<double> scratch) const = 0;
+  /// Algorithm 3. Writes one span per row into `dists`, which must hold
+  /// block.rows entries. A span either points at state cached at fit time
+  /// (C4.5 leaves, RIPPER rules) or into `scratch` (NBC, row r at
+  /// [r * label_cardinality(), (r + 1) * label_cardinality())), so `scratch`
+  /// must be at least block.rows * label_cardinality() wide; callers size
+  /// one buffer and reuse it per block. Spans stay valid until the next
+  /// fit/load on this classifier or the next write to `scratch`. Values
+  /// outside a column's training range are legal (unseen values).
+  virtual void predict_block(const RowBlock& block, std::span<double> scratch,
+                             std::span<std::span<const double>> dists)
+      const = 0;
+
+  /// The one-row case of predict_block for a full-width row.
+  std::span<const double> predict_dist(const std::vector<int>& row,
+                                       std::span<double> scratch) const;
 
   /// Most probable class (argmax of predict_dist).
   int predict(const std::vector<int>& row) const;
@@ -64,7 +90,7 @@ class Classifier {
 
   /// Serializes the fitted state into `out` so that load_state() on a
   /// default-configured instance restores a classifier whose every
-  /// predict_dist/describe() output is bit-identical; kInvalidArgument
+  /// predict_block/describe() output is bit-identical; kInvalidArgument
   /// before fit. Persisted via the XFAMDL1 artifact format, see
   /// ml/model_io.h.
   virtual Status save_state(SerialWriter& out) const = 0;

@@ -23,95 +23,124 @@ void NaiveBayes::fit(const DatasetView& view,
   for (std::size_t r = 0; r < view.rows(); ++r)
     class_counts_[static_cast<std::size_t>(label_data[r])] += 1.0;
 
-  cond_offset_.resize(feature_columns_.size());
+  table_offset_.resize(feature_columns_.size());
   feature_cardinality_.resize(feature_columns_.size());
-  std::size_t flat_size = 0;
+  std::size_t table_size = 0;
   for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
-    cond_offset_[f] = flat_size;
+    table_offset_[f] = table_size;
     feature_cardinality_[f] = view.cardinality(feature_columns_[f]);
-    flat_size += classes * static_cast<std::size_t>(feature_cardinality_[f]);
+    table_size +=
+        (static_cast<std::size_t>(feature_cardinality_[f]) + 1) * classes;
   }
-  cond_flat_.assign(flat_size, 0.0);
+  table_.assign(table_size, 0.0);
 
   // Column-major accumulation: one pass over (label, feature) column pairs.
-  // Counts are integral +1.0 increments, so the totals are exactly the same
-  // values the old row-major interleaved pass produced.
+  // Counts are integral +1.0 increments, so every total is exact.
   for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
     const std::span<const std::int32_t> col_data =
         view.column(feature_columns_[f]);
-    const auto card = static_cast<std::size_t>(feature_cardinality_[f]);
-    double* const table = cond_flat_.data() + cond_offset_[f];
+    double* const table = table_.data() + table_offset_[f];
     for (std::size_t r = 0; r < view.rows(); ++r) {
-      table[static_cast<std::size_t>(label_data[r]) * card +
-            static_cast<std::size_t>(col_data[r])] += 1.0;
+      table[static_cast<std::size_t>(col_data[r]) * classes +
+            static_cast<std::size_t>(label_data[r])] += 1.0;
     }
   }
 
-  // Convert counts to the Laplace-smoothed log terms predict sums — the
-  // exact doubles std::log produced per prediction before, computed once.
-  // The memo collapses the heavily repeated (count+1)/denominator ratios to
-  // one libm call each (bit-identical values).
+  // Convert counts to the Laplace-smoothed log terms predict sums, computed
+  // once. The memo collapses the heavily repeated (count+1)/denominator
+  // ratios to one libm call each (bit-identical values).
   LnMemo log;
   prior_log_.resize(classes);
   for (std::size_t c = 0; c < classes; ++c)
     prior_log_[c] = log((class_counts_[c] + 1.0) /
                         (total_ + static_cast<double>(classes)));
-  unseen_log_.resize(feature_columns_.size() * classes);
   for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
     const auto card = static_cast<std::size_t>(feature_cardinality_[f]);
-    double* const table = cond_flat_.data() + cond_offset_[f];
+    double* const table = table_.data() + table_offset_[f];
     for (std::size_t c = 0; c < classes; ++c) {
       const double denominator =
           class_counts_[c] + static_cast<double>(card);
       for (std::size_t v = 0; v < card; ++v)
-        table[c * card + v] = log((table[c * card + v] + 1.0) /
-                                  denominator);
-      unseen_log_[f * classes + c] = log(1.0 / denominator);
+        table[v * classes + c] =
+            log((table[v * classes + c] + 1.0) / denominator);
+      table[card * classes + c] = log(1.0 / denominator);
     }
   }
 }
 
-std::span<const double> NaiveBayes::predict_dist(
-    const std::vector<int>& row, std::span<double> scratch) const {
+void NaiveBayes::predict_block(const RowBlock& block,
+                               std::span<double> scratch,
+                               std::span<std::span<const double>> dists) const {
   XFA_CHECK(!class_counts_.empty()) << "predict before fit";
   const std::size_t classes = class_counts_.size();
-  XFA_CHECK_GE(scratch.size(), classes) << "scoring scratch buffer too small";
-  const std::span<double> out = scratch.first(classes);
-  // Work in log space to avoid underflow across ~140 factors; `out` holds
-  // the log scores, then is normalized in place. All log terms were
-  // precomputed at fit time, so this is a pure table walk.
-  for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = prior_log_[c];
-    for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
-      const auto card = static_cast<std::size_t>(feature_cardinality_[f]);
-      const double* const table =
-          cond_flat_.data() + cond_offset_[f] + c * card;
-      const auto v = static_cast<std::size_t>(row[feature_columns_[f]]);
-      out[c] += v < card ? table[v] : unseen_log_[f * classes + c];
+  const std::size_t rows = block.rows;
+  XFA_CHECK_GE(scratch.size(), rows * classes)
+      << "scoring scratch buffer too small";
+  XFA_CHECK_GE(dists.size(), rows);
+  // Log space avoids underflow across ~140 factors. acc[r * classes + c] is
+  // one accumulator per (row, class): it starts at the class prior and adds
+  // one table term per feature, in feature order — the additions a one-row
+  // block makes, in the same order, so every sum is bit-identical whatever
+  // the block size. Walking features outside and rows inside turns one long
+  // dependent add chain per (row, class) into rows * classes independent
+  // ones, and keeps one feature's table hot for the whole block.
+  double* const acc = scratch.data();
+  for (std::size_t r = 0; r < rows; ++r)
+    std::copy(prior_log_.begin(), prior_log_.end(), acc + r * classes);
+  for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
+    const std::int32_t* const values = block.column(feature_columns_[f]);
+    const double* const table = table_.data() + table_offset_[f];
+    // Negative values wrap to huge unsigned ones: both land on the unseen
+    // row, like any value >= the cardinality.
+    const auto unseen = static_cast<std::uint32_t>(feature_cardinality_[f]);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* const term =
+          table +
+          std::min(static_cast<std::uint32_t>(values[r]), unseen) * classes;
+      double* const row_acc = acc + r * classes;
+      for (std::size_t c = 0; c < classes; ++c) row_acc[c] += term[c];
     }
   }
   // Normalize: p(l_i|x) = n(l_i|x) / sum_k n(l_k|x).
-  const double max_log = *std::max_element(out.begin(), out.end());
-  double sum = 0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = std::exp(out[c] - max_log);
-    sum += out[c];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::span<double> out(acc + r * classes, classes);
+    const double max_log = *std::max_element(out.begin(), out.end());
+    double sum = 0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      out[c] = std::exp(out[c] - max_log);
+      sum += out[c];
+    }
+    for (std::size_t c = 0; c < classes; ++c) out[c] /= sum;
+    dists[r] = out;
   }
-  for (std::size_t c = 0; c < classes; ++c) out[c] /= sum;
-  return out;
 }
 
 Status NaiveBayes::save_state(SerialWriter& out) const {
   if (class_counts_.empty())
     return {StatusCode::kInvalidArgument, "NBC save before fit"};
+  // Stored layout: every feature's [class][value] table back to back, then
+  // the unseen terms as [feature][class].
+  const std::size_t classes = class_counts_.size();
+  std::vector<double> cond_flat, unseen_log;
+  cond_flat.reserve(table_.size());
+  unseen_log.reserve(feature_columns_.size() * classes);
+  for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
+    const auto card = static_cast<std::size_t>(feature_cardinality_[f]);
+    const double* const table = table_.data() + table_offset_[f];
+    for (std::size_t c = 0; c < classes; ++c) {
+      for (std::size_t v = 0; v < card; ++v)
+        cond_flat.push_back(table[v * classes + c]);
+      unseen_log.push_back(table[card * classes + c]);
+    }
+  }
   out.sizes(feature_columns_);
   out.doubles(class_counts_);
-  out.doubles(cond_flat_);
+  out.doubles(cond_flat);
   out.size(feature_cardinality_.size());
   for (const int card : feature_cardinality_)
     out.pod(static_cast<std::int32_t>(card));
   out.doubles(prior_log_);
-  out.doubles(unseen_log_);
+  out.doubles(unseen_log);
   out.pod(total_);
   return Status::Ok();
 }
@@ -122,11 +151,10 @@ Status NaiveBayes::load_state(SerialReader& in, std::size_t max_columns) {
                        "NBC: malformed probability tables"};
   feature_columns_.clear();
   class_counts_.clear();
-  cond_flat_.clear();
-  cond_offset_.clear();
+  table_.clear();
+  table_offset_.clear();
   feature_cardinality_.clear();
   prior_log_.clear();
-  unseen_log_.clear();
   total_ = 0;
 
   std::vector<std::size_t> feature_columns;
@@ -152,28 +180,41 @@ Status NaiveBayes::load_state(SerialReader& in, std::size_t max_columns) {
   double total = 0;
   if (!in.read_pod(total)) return corrupt;
 
-  // Rebuild the offsets from the cardinalities — never trusted from disk —
-  // and require every derived size to match what predict will index, so a
-  // hostile payload cannot shrink a table out from under the table walk.
+  // Derive every size from the cardinalities — never trusted from disk —
+  // and require the stored tables to match exactly, so a hostile payload
+  // cannot shrink a table out from under the table walk.
   const std::size_t classes = class_counts.size();
-  std::vector<std::size_t> cond_offset(feature_count);
-  std::size_t flat_size = 0;
+  std::size_t stored_size = 0;
   for (std::size_t f = 0; f < feature_count; ++f) {
-    cond_offset[f] = flat_size;
-    flat_size += classes * static_cast<std::size_t>(feature_cardinality[f]);
-    if (flat_size > cond_flat.size()) return corrupt;
+    stored_size += classes * static_cast<std::size_t>(feature_cardinality[f]);
+    if (stored_size > cond_flat.size()) return corrupt;
   }
-  if (flat_size != cond_flat.size()) return corrupt;
+  if (stored_size != cond_flat.size()) return corrupt;
   if (prior_log.size() != classes) return corrupt;
   if (unseen_log.size() != feature_count * classes) return corrupt;
 
+  // Transpose the stored [class][value] tables into [value, unseen][class].
+  std::vector<std::size_t> table_offset(feature_count);
+  std::vector<double> table(stored_size + feature_count * classes);
+  const double* stored = cond_flat.data();
+  std::size_t offset = 0;
+  for (std::size_t f = 0; f < feature_count; ++f) {
+    const auto card = static_cast<std::size_t>(feature_cardinality[f]);
+    table_offset[f] = offset;
+    for (std::size_t c = 0; c < classes; ++c) {
+      for (std::size_t v = 0; v < card; ++v)
+        table[offset + v * classes + c] = *stored++;
+      table[offset + card * classes + c] = unseen_log[f * classes + c];
+    }
+    offset += (card + 1) * classes;
+  }
+
   feature_columns_ = std::move(feature_columns);
   class_counts_ = std::move(class_counts);
-  cond_flat_ = std::move(cond_flat);
-  cond_offset_ = std::move(cond_offset);
+  table_ = std::move(table);
+  table_offset_ = std::move(table_offset);
   feature_cardinality_ = std::move(feature_cardinality);
   prior_log_ = std::move(prior_log);
-  unseen_log_ = std::move(unseen_log);
   total_ = total;
   return Status::Ok();
 }

@@ -19,17 +19,19 @@ class NaiveBayes final : public Classifier {
   void fit(const DatasetView& view,
            const std::vector<std::size_t>& feature_columns,
            std::size_t label_column) override;
-  /// Writes the normalized scores into the front of `scratch` and returns a
-  /// span over them.
-  std::span<const double> predict_dist(
-      const std::vector<int>& row, std::span<double> scratch) const override;
+  /// Block kernel: per-(row, class) log-score accumulators in `scratch`,
+  /// normalized in place; each row's span aliases its slice of `scratch`.
+  void predict_block(const RowBlock& block, std::span<double> scratch,
+                     std::span<std::span<const double>> dists) const override;
   const char* name() const override { return "NBC"; }
   std::size_t label_cardinality() const override {
     return class_counts_.size();
   }
 
-  /// Table serialization (ml/model_io.h). The log-space tables round-trip as
-  /// raw doubles, so restored predictions are bit-identical; the per-feature
+  /// Table serialization (ml/model_io.h). The stored order is per feature
+  /// [class][value] followed by the unseen terms; save and load transpose
+  /// to and from the in-memory layout, and the log terms round-trip as raw
+  /// doubles, so restored predictions are bit-identical. The per-feature
   /// offsets are recomputed (never trusted) and every size invariant is
   /// re-validated on load.
   Status save_state(SerialWriter& out) const override;
@@ -38,17 +40,17 @@ class NaiveBayes final : public Classifier {
  private:
   std::vector<std::size_t> feature_columns_;
   std::vector<double> class_counts_;
-  // Conditional tables, flattened into one contiguous buffer:
-  // cond_flat_[cond_offset_[f] + class*cardinality(f) + value]. During fit
-  // they accumulate counts; fit then converts them in place to the
-  // Laplace-smoothed *log* terms log((count+1)/(class_count+cardinality)),
-  // so predict is a pure table-sum — no std::log per (class, feature).
-  std::vector<double> cond_flat_;
-  std::vector<std::size_t> cond_offset_;    // per feature, into cond_flat_
-  std::vector<int> feature_cardinality_;    // per feature
-  std::vector<double> prior_log_;           // log class prior, per class
-  std::vector<double> unseen_log_;          // log term for out-of-range
-                                            // values, [f * classes + class]
+  // One Laplace-smoothed log table per feature, flattened into one buffer
+  // and laid out [value 0..card-1, unseen][class]:
+  // table_[table_offset_[f] + v * classes + class] = log((count + 1) /
+  // (class_count + card)), and row v = card holds log(1 / (class_count +
+  // card)) for values outside [0, card). A row's terms for one feature are
+  // then contiguous, and predict is a pure table-sum — no std::log per
+  // (class, feature).
+  std::vector<double> table_;
+  std::vector<std::size_t> table_offset_;  // per feature, into table_
+  std::vector<int> feature_cardinality_;   // per feature
+  std::vector<double> prior_log_;          // log class prior, per class
   double total_ = 0;
 };
 

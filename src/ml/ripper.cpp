@@ -1,6 +1,7 @@
 #include "ml/ripper.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -35,12 +36,6 @@ struct CandidateScan {
 }  // namespace
 
 Ripper::Ripper(const RipperConfig& config) : config_(config) {}
-
-bool Ripper::matches(const Rule& rule, const std::vector<int>& row) {
-  for (const Condition& condition : rule.conditions)
-    if (row[condition.column] != condition.value) return false;
-  return true;
-}
 
 bool Ripper::matches_view(const Rule& rule, const DatasetView& view,
                           std::size_t row, std::size_t keep_conditions) {
@@ -330,12 +325,33 @@ std::string Ripper::describe(
   return out;
 }
 
-std::span<const double> Ripper::predict_dist(
-    const std::vector<int>& row, std::span<double> /*scratch*/) const {
+void Ripper::predict_block(const RowBlock& block,
+                           std::span<double> /*scratch*/,
+                           std::span<std::span<const double>> dists) const {
   XFA_CHECK(label_cardinality_ > 0) << "predict before fit";
-  for (const Rule& rule : rules_)
-    if (matches(rule, row)) return rule.dist;
-  return default_dist_;
+  XFA_CHECK(block.rows >= 1 && block.rows <= kScoreBlock);
+  XFA_CHECK_GE(dists.size(), block.rows);
+  // Bit r of a mask stands for row r of the block. First match wins: a
+  // row leaves `open` at the first rule whose conditions' equality masks
+  // all cover it.
+  std::uint64_t open = ~std::uint64_t{0} >> (kScoreBlock - block.rows);
+  for (const Rule& rule : rules_) {
+    if (open == 0) break;
+    std::uint64_t hit = open;
+    for (const Condition& condition : rule.conditions) {
+      const std::int32_t* const values = block.column(condition.column);
+      std::uint64_t equal = 0;
+      for (std::size_t r = 0; r < block.rows; ++r)
+        equal |= static_cast<std::uint64_t>(values[r] == condition.value) << r;
+      hit &= equal;
+      if (hit == 0) break;
+    }
+    open &= ~hit;
+    for (; hit != 0; hit &= hit - 1)
+      dists[static_cast<std::size_t>(std::countr_zero(hit))] = rule.dist;
+  }
+  for (; open != 0; open &= open - 1)
+    dists[static_cast<std::size_t>(std::countr_zero(open))] = default_dist_;
 }
 
 Status Ripper::save_state(SerialWriter& out) const {

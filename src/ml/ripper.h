@@ -36,10 +36,12 @@ class Ripper final : public Classifier {
   void fit(const DatasetView& view,
            const std::vector<std::size_t>& feature_columns,
            std::size_t label_column) override;
-  /// Zero-copy: the first matching rule's (or the default's) Laplace
-  /// distribution cached at fit time; `scratch` is unused.
-  std::span<const double> predict_dist(
-      const std::vector<int>& row, std::span<double> scratch) const override;
+  /// Block kernel: rows are bits of one 64-bit mask. A rule ANDs one
+  /// equality mask per condition over the block, and a row retires at its
+  /// first matching rule. The spans point at the rules' (or the default's)
+  /// Laplace distributions cached at fit time; `scratch` is unused.
+  void predict_block(const RowBlock& block, std::span<double> scratch,
+                     std::span<std::span<const double>> dists) const override;
   const char* name() const override { return "RIPPER"; }
   std::size_t label_cardinality() const override {
     return label_cardinality_ > 0
@@ -72,7 +74,6 @@ class Ripper final : public Classifier {
     std::vector<double> dist;          // cached Laplace distribution
   };
 
-  static bool matches(const Rule& rule, const std::vector<int>& row);
   /// Coverage test against the column-major view (fit-time hot path).
   static bool matches_view(const Rule& rule, const DatasetView& view,
                            std::size_t row, std::size_t keep_conditions);

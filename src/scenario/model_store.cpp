@@ -36,8 +36,8 @@ Result<Detector> detector_from_payload(const std::string& payload) {
     return Status{StatusCode::kCorruptArtifact,
                   "detector: truncated thresholds"};
   if (Status s = detector.model.load_payload(reader); !s.ok()) return s;
-  // score_trace hands the model rows exactly schema-wide; a model claiming
-  // wider columns would abort score_with's width contract check.
+  // score_trace hands the model a matrix exactly schema-wide; a model
+  // claiming wider columns would abort score_all's width contract check.
   if (detector.model.schema_width() > detector.schema.size())
     return Status{StatusCode::kCorruptArtifact,
                   "detector: model schema wider than the feature schema"};

@@ -121,10 +121,10 @@ Result<ExperimentData> gather_experiment_checked(
       experiment_configs(routing, transport, options), options);
 }
 
-Dataset to_dataset(const DiscreteTrace& trace, const FeatureSchema* schema) {
+Dataset to_dataset(DiscreteTrace trace, const FeatureSchema* schema) {
   Dataset data;
-  data.rows = trace.rows;
-  data.cardinality = trace.cardinality;
+  data.rows = std::move(trace.rows);
+  data.cardinality = std::move(trace.cardinality);
   if (schema != nullptr) data.names = schema->names();
   return data;
 }
@@ -138,8 +138,13 @@ std::vector<double> project(const std::vector<EventScore>& scores,
 }
 
 std::vector<EventScore> Detector::score_trace(const RawTrace& trace) const {
-  const DiscreteTrace discrete = discretizer.transform(trace);
-  return model.score_all(discrete.rows);
+  // Each block is discretized straight into the column-major layout the
+  // sub-models read: no per-row vectors, no transpose, no whole-trace copy.
+  return model.score_all(
+      trace.rows.size(), discretizer.columns(),
+      [&](std::size_t first, std::size_t count, std::int32_t* out) {
+        discretizer.transform_rows(trace, first, count, out, kScoreBlock);
+      });
 }
 
 Result<Detector> train_detector_checked(const RawTrace& train_normal,
@@ -154,8 +159,8 @@ Result<Detector> train_detector_checked(const RawTrace& train_normal,
   // "A pre-filtering process using a small random subset of normal vectors"
   // learns the frequency distribution; 500 samples are ample for 5 buckets.
   detector.discretizer.fit(train_normal.rows, /*max_fit_rows=*/500);
-  const DiscreteTrace discrete = detector.discretizer.transform(train_normal);
-  const Dataset dataset = to_dataset(discrete, &detector.schema);
+  const Dataset dataset = to_dataset(
+      detector.discretizer.transform(train_normal), &detector.schema);
 
   // Label columns: everything classifiable, optionally restricted to the
   // requested sampling periods (Set I topology features always stay).
@@ -180,7 +185,7 @@ Result<Detector> train_detector_checked(const RawTrace& train_normal,
   const std::vector<EventScore> calibration_scores =
       threshold_normal != nullptr
           ? detector.score_trace(*threshold_normal)
-          : detector.model.score_all(discrete.rows);
+          : detector.model.score_all(dataset.rows);
   detector.threshold_match =
       select_threshold(project(calibration_scores, ScoreKind::MatchCount),
                        options.false_alarm_rate);

@@ -133,9 +133,9 @@ Result<Detector> train_detector_checked(
     const DetectorOptions& options = {},
     const RawTrace* threshold_normal = nullptr);
 
-/// Converts a discretized trace into the classifier Dataset format.
-Dataset to_dataset(const DiscreteTrace& trace,
-                   const FeatureSchema* schema = nullptr);
+/// Converts a discretized trace into the classifier Dataset format (pass
+/// an rvalue to move the rows instead of copying them).
+Dataset to_dataset(DiscreteTrace trace, const FeatureSchema* schema = nullptr);
 
 /// Projects one score kind out of per-event scores.
 std::vector<double> project(const std::vector<EventScore>& scores,

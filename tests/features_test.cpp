@@ -2,8 +2,15 @@
 // frequency discretization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/serial.h"
 #include "features/discretize.h"
 #include "features/extract.h"
 #include "features/schema.h"
@@ -308,6 +315,165 @@ TEST_P(DiscretizerParamTest, CardinalityNeverExceedsRequested) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DiscretizerParamTest,
                          ::testing::Values(2, 3, 5, 8, 16));
+
+// -- Branchless transform vs a lower_bound reference ------------------------
+
+/// The per-column cut points, read back from the saved state so the
+/// reference does not share the transform's flat table.
+std::vector<std::vector<double>> saved_cuts(
+    const EqualFrequencyDiscretizer& discretizer) {
+  std::string state;
+  SerialWriter writer(state);
+  EXPECT_TRUE(discretizer.save_state(writer).ok());
+  SerialReader reader(state);
+  std::int32_t buckets = 0;
+  double gap = 0;
+  std::size_t columns = 0;
+  EXPECT_TRUE(reader.read_pod(buckets) && reader.read_pod(gap) &&
+              reader.read_size(columns));
+  std::vector<std::vector<double>> cuts(columns);
+  for (std::vector<double>& column : cuts)
+    EXPECT_TRUE(reader.read_doubles(column));
+  return cuts;
+}
+
+int lower_bound_bucket(const std::vector<double>& cuts, double value) {
+  return static_cast<int>(std::lower_bound(cuts.begin(), cuts.end(), value) -
+                          cuts.begin());
+}
+
+/// Every cut, its neighbours, NaN, both infinities, signed zeros, the
+/// extremes of double and values below the minimum and above the maximum.
+std::vector<double> probes(const std::vector<double>& cuts) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> out = {std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::quiet_NaN(),
+                             kInf,
+                             -kInf,
+                             0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::lowest(),
+                             std::numeric_limits<double>::max(),
+                             -1e6,
+                             1e6};
+  for (const double cut : cuts) {
+    out.push_back(cut);
+    out.push_back(std::nextafter(cut, -kInf));
+    out.push_back(std::nextafter(cut, kInf));
+  }
+  return out;
+}
+
+void expect_matches_lower_bound(const EqualFrequencyDiscretizer& discretizer) {
+  const std::vector<std::vector<double>> cuts = saved_cuts(discretizer);
+  ASSERT_EQ(cuts.size(), discretizer.columns());
+  std::size_t widest = 0;
+  for (const std::vector<double>& column : cuts)
+    widest = std::max(widest, probes(column).size());
+  // One trace whose column c walks column c's probes (cycled), scored by
+  // transform_value, transform and transform_rows alike.
+  RawTrace trace;
+  for (std::size_t r = 0; r < widest; ++r) {
+    std::vector<double> row(cuts.size());
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+      const std::vector<double> column = probes(cuts[c]);
+      row[c] = column[r % column.size()];
+    }
+    trace.times.push_back(static_cast<double>(r));
+    trace.rows.push_back(std::move(row));
+    trace.labels.push_back(0);
+  }
+  const DiscreteTrace rows = discretizer.transform(trace);
+  std::vector<std::int32_t> columns(trace.rows.size() * cuts.size());
+  discretizer.transform_rows(trace, 0, trace.rows.size(), columns.data(),
+                             trace.rows.size());
+  // A block from the middle of the trace lands at its own offsets.
+  constexpr std::size_t kFirst = 3, kCount = 5, kStride = 8;
+  std::vector<std::int32_t> block(kStride * cuts.size(), -1);
+  discretizer.transform_rows(trace, kFirst, kCount, block.data(), kStride);
+  for (std::size_t c = 0; c < cuts.size(); ++c) {
+    for (std::size_t r = 0; r < kStride; ++r) {
+      EXPECT_EQ(block[c * kStride + r],
+                r < kCount ? columns[c * trace.rows.size() + kFirst + r] : -1);
+    }
+  }
+  for (std::size_t r = 0; r < trace.rows.size(); ++r) {
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+      const double value = trace.rows[r][c];
+      const int want = lower_bound_bucket(cuts[c], value);
+      EXPECT_EQ(discretizer.transform_value(c, value), want)
+          << "column " << c << " value " << value;
+      EXPECT_EQ(rows.rows[r][c], want) << "column " << c << " value " << value;
+      EXPECT_EQ(columns[c * trace.rows.size() + r], want)
+          << "column " << c << " value " << value;
+    }
+  }
+}
+
+TEST(DiscretizerBranchless, MatchesLowerBoundOnEdgeValues) {
+  // Column 0 spreads over four cuts, column 1 is constant (zero cuts),
+  // column 2 is mostly zero (one cut at the minimum), column 3 has two.
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back({static_cast<double>(i % 97) - 40.0, 3.5,
+                    i % 10 == 0 ? 8.0 : 0.0, i % 3 == 0 ? -2.0 : 1e3});
+  }
+  EqualFrequencyDiscretizer discretizer(5, 0);
+  discretizer.fit(rows);
+  const std::vector<std::vector<double>> cuts = saved_cuts(discretizer);
+  ASSERT_EQ(cuts.size(), 4u);
+  EXPECT_EQ(cuts[0].size(), 4u);
+  EXPECT_TRUE(cuts[1].empty());
+  EXPECT_EQ(cuts[2].size(), 1u);
+  expect_matches_lower_bound(discretizer);
+
+  // A discretizer restored from the saved state maps identically.
+  std::string state;
+  SerialWriter writer(state);
+  ASSERT_TRUE(discretizer.save_state(writer).ok());
+  EqualFrequencyDiscretizer restored;
+  SerialReader reader(state);
+  ASSERT_TRUE(restored.load_state(reader).ok());
+  EXPECT_EQ(saved_cuts(restored), cuts);
+  expect_matches_lower_bound(restored);
+}
+
+TEST(DiscretizerBranchless, AllConstantColumnsMapToBucketZero) {
+  EqualFrequencyDiscretizer discretizer(5, 0);
+  discretizer.fit({{1.0, -7.0}, {1.0, -7.0}, {1.0, -7.0}});
+  EXPECT_EQ(discretizer.cardinality(0), 1);
+  EXPECT_EQ(discretizer.cardinality(1), 1);
+  expect_matches_lower_bound(discretizer);
+}
+
+TEST(DiscretizerBranchless, LoadRejectsNaNCuts) {
+  std::string state;
+  SerialWriter writer(state);
+  writer.pod(std::int32_t{5});
+  writer.pod(0.25);
+  writer.size(1);
+  writer.doubles({1.0, std::numeric_limits<double>::quiet_NaN()});
+  EqualFrequencyDiscretizer discretizer;
+  SerialReader reader(state);
+  EXPECT_EQ(discretizer.load_state(reader).code(),
+            StatusCode::kCorruptArtifact);
+  EXPECT_FALSE(discretizer.fitted());
+}
+
+TEST(DiscretizerBranchless, WidthAndColumnChecksStay) {
+  EqualFrequencyDiscretizer discretizer(5, 0);
+  discretizer.fit({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
+  RawTrace narrow;
+  narrow.times = {1.0};
+  narrow.rows = {{1.0}};
+  narrow.labels = {0};
+  EXPECT_DEATH(discretizer.transform(narrow), "XFA_CHECK");
+  std::int32_t out[2] = {};
+  EXPECT_DEATH(discretizer.transform_rows(narrow, 0, 1, out, 1), "XFA_CHECK");
+  EXPECT_DEATH(discretizer.transform_rows(narrow, 1, 1, out, 1), "XFA_CHECK");
+  EXPECT_DEATH(discretizer.transform_value(2, 0.0), "XFA_CHECK");
+}
 
 }  // namespace
 }  // namespace xfa

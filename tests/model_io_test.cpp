@@ -158,6 +158,29 @@ TEST(ModelIoTest, ClassifierRoundTripIsBitIdentical) {
   }
 }
 
+TEST(ModelIoTest, NaiveBayesStateBytesArePinned) {
+  // NBC keeps its tables in a scoring-friendly in-memory layout and
+  // transposes to the stored [class][value] order on save; this pins the
+  // stored bytes of a fixed-seed fit so a layout change cannot alter
+  // XFAMDL1 files.
+  const Dataset data = sample_dataset();
+  NaiveBayes nbc;
+  nbc.fit(DatasetView(data), {0, 1, 2}, 3);
+  std::string state;
+  SerialWriter writer(state);
+  ASSERT_TRUE(nbc.save_state(writer).ok());
+  EXPECT_EQ(state.size(), 452u);
+  EXPECT_EQ(crc64(state.data(), state.size()), 0xc810e3c7e2a1fb2fULL);
+
+  NaiveBayes restored;
+  SerialReader reader(state);
+  ASSERT_TRUE(restored.load_state(reader, data.columns()).ok());
+  std::string resaved;
+  SerialWriter rewriter(resaved);
+  ASSERT_TRUE(restored.save_state(rewriter).ok());
+  EXPECT_EQ(resaved, state);
+}
+
 TEST(ModelIoTest, UnfittedClassifierRefusesToSave) {
   for (const auto& unfitted : all_classifiers()) {
     std::string payload;

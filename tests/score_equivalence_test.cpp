@@ -1,14 +1,21 @@
 // Pins for the detection-pipeline hot paths: the column-major DatasetView
-// mirrors its row-major source, the block-parallel score_all is
-// bit-identical to serial per-row scoring, and fixed-seed fits of all three
-// classifier families reproduce golden models and distributions exactly.
+// mirrors its row-major source, the block-parallel score_all and every
+// classifier's predict_block kernel are bit-identical to one-row scoring,
+// and fixed-seed fits of all three classifier families reproduce golden
+// models and distributions exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cfa/model.h"
+#include "common/crc64.h"
+#include "common/serial.h"
 #include "exec/thread_pool.h"
 #include "ml/c45.h"
 #include "ml/dataset_view.h"
@@ -111,6 +118,157 @@ TEST_P(FamilyParamTest, ScoreAllBitIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyParamTest,
+                         ::testing::Values(0, 1, 2));
+
+// -- Block kernels vs one-row scoring ---------------------------------------
+
+/// correlated_dataset rows with about one cell in six replaced by a value
+/// outside the trained range — at or above the cardinality, or negative —
+/// so NBC's unseen term and the C4.5/RIPPER non-matching branches run.
+std::vector<std::vector<int>> rows_with_unseen_values(std::size_t rows,
+                                                      std::size_t columns,
+                                                      std::uint64_t seed) {
+  std::vector<std::vector<int>> out =
+      correlated_dataset(rows, columns, seed).rows;
+  constexpr std::array<int, 5> kUnseen = {5, 6, 100, -1, -7};
+  Rng rng(seed + 1);
+  for (std::vector<int>& row : out)
+    for (int& value : row)
+      if (rng.chance(0.15)) value = kUnseen[rng.uniform_int(kUnseen.size())];
+  return out;
+}
+
+std::vector<std::int32_t> column_major(
+    const std::vector<std::vector<int>>& rows) {
+  const std::size_t columns = rows.front().size();
+  std::vector<std::int32_t> values(rows.size() * columns);
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    for (std::size_t c = 0; c < columns; ++c)
+      values[c * rows.size() + r] = rows[r][c];
+  return values;
+}
+
+/// Both score_all overloads at pool sizes 1 and 8 against score() and
+/// explain() per row, and each sub-model's predict_block on blocks of a
+/// column-major matrix (stride = row count) against its one-row
+/// predict_dist — all bit for bit.
+void expect_blocks_match_rows(const CrossFeatureModel& model,
+                              const std::vector<std::vector<int>>& rows) {
+  const std::vector<std::int32_t> values = column_major(rows);
+  const std::size_t columns = rows.front().size();
+  const auto submodels = static_cast<double>(model.submodel_count());
+  PoolGuard guard;
+  for (const std::size_t threads : {1, 8}) {
+    resize_shared_pool(threads);
+    const std::vector<EventScore> by_rows = model.score_all(rows);
+    const std::vector<EventScore> by_columns = model.score_all(
+        rows.size(), columns,
+        [&](std::size_t first, std::size_t count, std::int32_t* out) {
+          for (std::size_t c = 0; c < columns; ++c)
+            std::copy_n(values.data() + c * rows.size() + first, count,
+                        out + c * kScoreBlock);
+        });
+    ASSERT_EQ(by_rows.size(), rows.size());
+    ASSERT_EQ(by_columns.size(), rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const EventScore one = model.score(rows[r]);
+      EXPECT_EQ(by_rows[r].avg_match_count, one.avg_match_count) << r;
+      EXPECT_EQ(by_rows[r].avg_probability, one.avg_probability) << r;
+      EXPECT_EQ(by_columns[r].avg_match_count, one.avg_match_count) << r;
+      EXPECT_EQ(by_columns[r].avg_probability, one.avg_probability) << r;
+      // explain() reports the same per-sub-model terms; re-added in
+      // sub-model (ascending label column) order they give the same sums.
+      std::vector<CrossFeatureModel::SubmodelVerdict> verdicts =
+          model.explain(rows[r]);
+      std::sort(verdicts.begin(), verdicts.end(),
+                [](const auto& a, const auto& b) {
+                  return a.label_column < b.label_column;
+                });
+      double matches = 0, probability = 0;
+      for (const auto& verdict : verdicts) {
+        if (verdict.matched) matches += 1.0;
+        probability += verdict.probability;
+      }
+      EXPECT_EQ(matches / submodels, one.avg_match_count) << r;
+      EXPECT_EQ(probability / submodels, one.avg_probability) << r;
+    }
+  }
+
+  std::array<std::span<const double>, kScoreBlock> dists;
+  for (std::size_t i = 0; i < model.submodel_count(); ++i) {
+    const Classifier& submodel = model.submodel(i);
+    std::vector<double> block_scratch(kScoreBlock *
+                                      submodel.label_cardinality());
+    std::vector<double> row_scratch(submodel.label_cardinality());
+    for (std::size_t lo = 0; lo < rows.size(); lo += kScoreBlock) {
+      const RowBlock block{values.data() + lo, rows.size(),
+                           std::min(kScoreBlock, rows.size() - lo)};
+      submodel.predict_block(block, block_scratch, {dists.data(), block.rows});
+      for (std::size_t r = 0; r < block.rows; ++r) {
+        const std::span<const double> want =
+            submodel.predict_dist(rows[lo + r], row_scratch);
+        ASSERT_EQ(dists[r].size(), want.size());
+        for (std::size_t c = 0; c < want.size(); ++c)
+          ASSERT_EQ(dists[r][c], want[c])
+              << submodel.name() << " sub-model " << i << " row " << lo + r;
+      }
+    }
+  }
+}
+
+class BlockKernelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BlockKernelTest, ScoreAllMatchesOneRowScoring) {
+  const Dataset data = correlated_dataset(300, 12, 41);
+  CrossFeatureModel model;
+  ASSERT_TRUE(
+      model.train(data, iota_columns(12), factory_for(GetParam()), 1).ok());
+  // One row, one short of a block, exactly one block, one past it, and a
+  // ragged last block.
+  for (const std::size_t rows : {1, 63, 64, 65, 200})
+    expect_blocks_match_rows(model, rows_with_unseen_values(rows, 12, rows));
+}
+
+TEST_P(BlockKernelTest, RestoredModelMatchesOneRowScoring) {
+  const Dataset data = correlated_dataset(300, 12, 43);
+  CrossFeatureModel model;
+  ASSERT_TRUE(
+      model.train(data, iota_columns(12), factory_for(GetParam()), 1).ok());
+  std::string payload;
+  SerialWriter writer(payload);
+  ASSERT_TRUE(model.save_payload(writer).ok());
+  CrossFeatureModel restored;
+  SerialReader reader(payload);
+  ASSERT_TRUE(restored.load_payload(reader).ok());
+
+  const std::vector<std::vector<int>> rows =
+      rows_with_unseen_values(200, 12, 7);
+  expect_blocks_match_rows(restored, rows);
+  const std::vector<EventScore> want = model.score_all(rows);
+  const std::vector<EventScore> got = restored.score_all(rows);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(got[r].avg_match_count, want[r].avg_match_count) << r;
+    EXPECT_EQ(got[r].avg_probability, want[r].avg_probability) << r;
+  }
+}
+
+TEST_P(BlockKernelTest, ScoresWithUnseenValuesArePinned) {
+  // CRC-64 of the score_all doubles, taken from the per-row table walks the
+  // block kernels replaced: the kernels keep every score bit-identical,
+  // unseen values included.
+  constexpr std::array<std::uint64_t, 3> kCrc = {
+      0x5aea5c19d9fd9a8dULL, 0xe47e5a8ebd1457afULL, 0x6d2a1b4a9d16fbbbULL};
+  const Dataset data = correlated_dataset(300, 12, 41);
+  CrossFeatureModel model;
+  ASSERT_TRUE(
+      model.train(data, iota_columns(12), factory_for(GetParam()), 1).ok());
+  const std::vector<EventScore> scores =
+      model.score_all(rows_with_unseen_values(200, 12, 200));
+  EXPECT_EQ(crc64(scores.data(), scores.size() * sizeof(EventScore)),
+            kCrc[static_cast<std::size_t>(GetParam())]);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, BlockKernelTest,
                          ::testing::Values(0, 1, 2));
 
 // -- Golden models ---------------------------------------------------------
