@@ -1,6 +1,7 @@
 #include "routing/dsr/dsr.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -8,8 +9,8 @@
 namespace xfa {
 namespace {
 
-bool contains(const std::vector<NodeId>& route, NodeId node) {
-  return std::find(route.begin(), route.end(), node) != route.end();
+bool contains(std::span<const NodeId> route, NodeId node) {
+  return std::ranges::find(route, node) != route.end();
 }
 
 }  // namespace
@@ -34,11 +35,11 @@ std::size_t Dsr::route_count() const {
   return cache_.path_count(node_.sim().now());
 }
 
-void Dsr::learn_path(std::vector<NodeId> hops, SeqNo freshness,
+void Dsr::learn_path(std::span<const NodeId> hops, SeqNo freshness,
                      PathOrigin origin) {
   if (hops.empty() || hops.back() == node_.id()) return;
   if (contains(hops, node_.id())) return;  // would self-loop
-  if (cache_.add_path(std::move(hops), freshness, node_.sim().now())) {
+  if (cache_.add_path(hops, freshness, node_.sim().now())) {
     node_.log_route_event(origin == PathOrigin::Discovery
                               ? RouteEventKind::Add
                               : RouteEventKind::Notice);
@@ -50,16 +51,19 @@ void Dsr::learn_from_route(const std::vector<NodeId>& route,
                            PathOrigin origin) {
   XFA_CHECK(self_index < route.size() && route[self_index] == node_.id());
   // Downstream sub-paths: self -> route[j] for j > self_index.
-  for (std::size_t j = self_index + 1; j < route.size(); ++j) {
-    learn_path(std::vector<NodeId>(route.begin() + self_index + 1,
-                                   route.begin() + j + 1),
-               freshness, origin);
-  }
-  // Upstream sub-paths (links assumed bidirectional, as in DSR).
-  for (std::size_t j = 0; j < self_index; ++j) {
-    std::vector<NodeId> hops(route.rend() - self_index, route.rend() - j);
-    learn_path(std::move(hops), freshness, origin);
-  }
+  const auto downstream = std::span(route).subspan(self_index + 1);
+  for (std::size_t n = 1; n <= downstream.size(); ++n)
+    learn_path(downstream.first(n), freshness, origin);
+  // Upstream sub-paths self -> route[j] for j = 0 .. self_index - 1, longest
+  // first (links assumed bidirectional, as in DSR).
+  const auto upstream = reversed(std::span(route).first(self_index));
+  for (std::size_t n = upstream.size(); n > 0; --n)
+    learn_path(upstream.first(n), freshness, origin);
+}
+
+std::span<const NodeId> Dsr::reversed(std::span<const NodeId> route) {
+  reversed_.assign(route.rbegin(), route.rend());
+  return reversed_;
 }
 
 bool Dsr::source_route_and_send(Packet&& pkt) {
@@ -166,15 +170,9 @@ void Dsr::handle_rreq(const Packet& pkt, NodeId from) {
   // Learn the reverse of the accumulated route. A forged one-hop
   // route_so_far [victim, attacker] with max freshness poisons this cache:
   // "victim is one hop away, through the attacker".
-  {
-    std::vector<NodeId> reversed(header.route_so_far.rbegin(),
-                                 header.route_so_far.rend());
-    for (std::size_t j = 0; j < reversed.size(); ++j) {
-      learn_path(
-          std::vector<NodeId>(reversed.begin(), reversed.begin() + j + 1),
-          header.freshness, PathOrigin::Relay);
-    }
-  }
+  const auto upstream = reversed(header.route_so_far);
+  for (std::size_t n = 1; n <= upstream.size(); ++n)
+    learn_path(upstream.first(n), header.freshness, PathOrigin::Relay);
 
   if (rreq_seen_.seen_before(header.origin, header.request_id, now)) return;
 
@@ -358,23 +356,20 @@ void Dsr::tap(const Packet& pkt, NodeId from, NodeId to) {
   // Promiscuous route learning: anything overheard with route information.
   // We can reach `from` directly (we just heard it), so any sub-path of the
   // overheard route anchored at `from` is usable, prefixed with that hop.
-  const auto learn_anchored = [&](const std::vector<NodeId>& route,
+  const auto learn_anchored = [&](std::span<const NodeId> route,
                                   SeqNo freshness) {
-    const auto it = std::find(route.begin(), route.end(), from);
+    const auto it = std::ranges::find(route, from);
     if (it == route.end()) return;
-    const std::size_t j = static_cast<std::size_t>(it - route.begin());
-    // Downstream of `from`.
-    for (std::size_t k = j; k < route.size(); ++k) {
-      std::vector<NodeId> hops(route.begin() + j, route.begin() + k + 1);
-      learn_path(std::move(hops), freshness, PathOrigin::Overheard);
-    }
-    // Upstream of `from` (reverse direction).
-    for (std::size_t k = 0; k < j; ++k) {
-      std::vector<NodeId> hops;
-      hops.reserve(j - k + 1);
-      for (std::size_t m = j + 1; m-- > k;) hops.push_back(route[m]);
-      learn_path(std::move(hops), freshness, PathOrigin::Overheard);
-    }
+    const auto j = static_cast<std::size_t>(it - route.begin());
+    // Downstream of `from`: from -> route[k] for k >= j.
+    const auto downstream = route.subspan(j);
+    for (std::size_t n = 1; n <= downstream.size(); ++n)
+      learn_path(downstream.first(n), freshness, PathOrigin::Overheard);
+    // Upstream of `from` (reverse direction): from -> route[k] for
+    // k = 0 .. j - 1, longest first.
+    const auto upstream = reversed(route.first(j + 1));
+    for (std::size_t n = upstream.size(); n > 1; --n)
+      learn_path(upstream.first(n), freshness, PathOrigin::Overheard);
   };
 
   if (const auto* route = std::get_if<DsrSourceRoute>(&pkt.header)) {

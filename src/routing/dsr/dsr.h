@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "net/channel.h"
@@ -63,13 +64,18 @@ class Dsr final : public RoutingProtocol {
   /// Attaches the best cached source route and transmits. Returns false when
   /// no route is cached.
   bool source_route_and_send(Packet&& pkt);
-  void learn_path(std::vector<NodeId> hops, SeqNo freshness,
+  /// Caches `hops` (a view into a packet's route or into reversed_) unless
+  /// it is empty or passes through this node.
+  void learn_path(std::span<const NodeId> hops, SeqNo freshness,
                   PathOrigin origin);
   /// Extracts the sub-path from this node to every suffix node of `route`
   /// (standard DSR link-by-link learning), relative to `self_index`.
   void learn_from_route(const std::vector<NodeId>& route,
                         std::size_t self_index, SeqNo freshness,
                         PathOrigin origin);
+  /// `route` back to front, in reversed_ (reused, so learning allocates
+  /// nothing once it has grown).
+  std::span<const NodeId> reversed(std::span<const NodeId> route);
   void send_rerr_to(NodeId source, NodeId broken_from, NodeId broken_to);
   void purge_tick();
 
@@ -85,6 +91,7 @@ class Dsr final : public RoutingProtocol {
   std::unordered_map<NodeId, std::uint32_t> pending_discovery_;
   std::uint32_t next_attempt_id_ = 1;
   std::unique_ptr<PeriodicTimer> purge_timer_;
+  std::vector<NodeId> reversed_;
 };
 
 }  // namespace xfa

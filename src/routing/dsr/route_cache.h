@@ -3,10 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
-#include "common/flat_map.h"
+#include "common/check.h"
 #include "net/packet.h"
 #include "sim/types.h"
 
@@ -31,14 +31,18 @@ class DsrRouteCache {
  public:
   explicit DsrRouteCache(std::size_t max_paths_per_dst = 3,
                          SimTime path_lifetime = 60.0)
-      : max_paths_per_dst_(max_paths_per_dst), path_lifetime_(path_lifetime) {}
+      : max_paths_per_dst_(max_paths_per_dst), path_lifetime_(path_lifetime) {
+    XFA_CHECK(max_paths_per_dst > 0);
+  }
 
-  /// Inserts a path to `hops.back()`. Returns true if the cache changed
-  /// (new path or refreshed freshness), false for duplicates/rejects.
-  bool add_path(std::vector<NodeId> hops, SeqNo freshness, SimTime now);
+  /// Copies `hops` in as a path to `hops.back()`; true if it was stored. A
+  /// duplicate only refreshes learned_at and raises freshness (false).
+  bool add_path(std::span<const NodeId> hops, SeqNo freshness, SimTime now);
 
-  /// Best current path to `dst`: freshest first, then shortest, then most
-  /// recently learned. Returns nullptr if none.
+  /// Best current path to `dst`: freshest first, then shortest, then the
+  /// earliest slot. A duplicate refresh keeps its path's slot, so ties do not
+  /// go to the most recently learned path. Returns nullptr if none; otherwise
+  /// a copy that stays valid until the next best_path call.
   const DsrCachePath* best_path(NodeId dst, SimTime now) const;
 
   /// Removes every path using the directed link from->to. Returns the number
@@ -52,43 +56,50 @@ class DsrRouteCache {
   double average_path_length(SimTime now) const;
 
  private:
-  bool expired(const DsrCachePath& path, SimTime now) const {
-    return path.learned_at + path_lifetime_ < now;
+  static constexpr SimTime kNoTime = 1e300;
+  struct Slot {  // a free slot is all defaults: no hops, never expires
+    SimTime learned_at = kNoTime;
+    SeqNo freshness = 0;
+    std::uint32_t length = 0;  // hop count
+    // node_bit of every hop: remove_link and the duplicate check read the
+    // hops only when this can match.
+    std::uint64_t nodes = 0;
+  };
+  static std::uint64_t node_bit(NodeId node) {
+    return std::uint64_t{1} << (static_cast<std::uint32_t>(node) % 64);
   }
-
-  static std::uint64_t link_key(NodeId from, NodeId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
+  bool expired(const Slot& slot, SimTime now) const {
+    return slot.learned_at + path_lifetime_ < now;
   }
-  /// Adjusts the link reference counts for one stored path (+1 on insert,
-  /// -1 on removal).
-  void index_links(const std::vector<NodeId>& hops, int delta);
+  bool live(const Slot& slot, SimTime now) const {
+    return slot.length != 0 && !expired(slot, now);
+  }
+  std::size_t first_slot(NodeId dst) const {
+    return static_cast<std::size_t>(dst) * max_paths_per_dst_;
+  }
+  std::span<const NodeId> hops_of(std::size_t slot) const {
+    return {hops_.data() + slot * stride_, slots_[slot].length};
+  }
+  void restride(std::size_t stride);
+  /// Frees, keeping slot order, every path for which `drop(slot)` holds;
+  /// `drop` must be false for free slots. Returns the number freed.
+  template <typename Drop>
+  std::size_t remove_slots(Drop drop);
 
   std::size_t max_paths_per_dst_;
   SimTime path_lifetime_;
-  // Sorted by destination: the per-second purge scan and the remove_link
-  // sweep stream one contiguous array instead of walking hash buckets, and
-  // every full-cache iteration is in ascending-destination order (order is
-  // not observable here — all iterating members compute order-insensitive
-  // counts/removals — but deterministic layout costs nothing).
-  FlatMap<NodeId, std::vector<DsrCachePath>> by_dst_;
-  // Lower bound on the earliest learned_at among stored paths (+inf when
-  // empty): purge_expired skips its scan while min_learned_ + lifetime has
-  // not passed. Insertions min it down; removals only raise the true
-  // minimum, so the bound stays sound until the next scan recomputes it.
+  // Destination d owns the max_paths_per_dst_ slots from first_slot(d), its
+  // paths filling a prefix of them in slot order; node ids are dense, so the
+  // id is the index. Slot s keeps its hops at hops_[s * stride_], stride_
+  // being the longest path stored so far.
+  std::vector<Slot> slots_;
+  std::vector<NodeId> hops_;
+  std::size_t stride_ = 0;
+  // Lower bound on the earliest stored learned_at (+inf when empty), so
+  // purge_expired can skip its scan. Removals only raise the true minimum;
+  // the bound stays sound until the next scan recomputes it.
   SimTime min_learned_ = kNoTime;
-
-  static constexpr SimTime kNoTime = 1e300;
-  // Exact multiset of links present in stored paths, so remove_link — called
-  // on every overheard/received RERR and every missing ACK — can reject the
-  // common "no cached path uses that link" case in O(1) instead of scanning
-  // the whole cache. Interior links (hops[i] -> hops[i+1]) live in
-  // link_refs_; the implicit owner -> hops[0] link is tracked by first hop
-  // alone (stored paths never contain the owner, so `from == owner` can only
-  // match a path's leading link).
-  std::unordered_map<std::uint64_t, std::uint32_t> link_refs_;
-  std::unordered_map<NodeId, std::uint32_t> first_hop_refs_;
+  mutable DsrCachePath best_;  // best_path's result
 };
 
 }  // namespace xfa

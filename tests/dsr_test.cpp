@@ -1,13 +1,17 @@
 // Unit tests: DSR route cache and agent behaviour on fixed topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "audit/audit.h"
 #include "mobility/static.h"
 #include "net/channel.h"
 #include "net/node.h"
 #include "routing/dsr/dsr.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "transport/cbr.h"
 
@@ -18,10 +22,12 @@ namespace {
 // Route cache.
 // ---------------------------------------------------------------------------
 
+using Hops = std::vector<NodeId>;
+
 TEST(DsrRouteCache, AddAndBestPath) {
   DsrRouteCache cache;
-  EXPECT_TRUE(cache.add_path({1, 2, 5}, 0, 0.0));
-  EXPECT_TRUE(cache.add_path({3, 5}, 0, 0.0));
+  EXPECT_TRUE(cache.add_path(Hops{1, 2, 5}, 0, 0.0));
+  EXPECT_TRUE(cache.add_path(Hops{3, 5}, 0, 0.0));
   const DsrCachePath* best = cache.best_path(5, 1.0);
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->hops, (std::vector<NodeId>{3, 5}));  // shortest wins
@@ -29,38 +35,38 @@ TEST(DsrRouteCache, AddAndBestPath) {
 
 TEST(DsrRouteCache, FreshnessDominatesLength) {
   DsrRouteCache cache;
-  cache.add_path({3, 5}, 0, 0.0);
-  cache.add_path({1, 2, 4, 5}, kMaxSeqNo, 0.0);  // forged fresh, longer
+  cache.add_path(Hops{3, 5}, 0, 0.0);
+  cache.add_path(Hops{1, 2, 4, 5}, kMaxSeqNo, 0.0);  // forged fresh, longer
   EXPECT_EQ(cache.best_path(5, 1.0)->freshness, kMaxSeqNo);
 }
 
 TEST(DsrRouteCache, DuplicateRefreshesNotDuplicates) {
   DsrRouteCache cache;
-  EXPECT_TRUE(cache.add_path({1, 5}, 0, 0.0));
-  EXPECT_FALSE(cache.add_path({1, 5}, 0, 1.0));  // same path: refresh only
+  EXPECT_TRUE(cache.add_path(Hops{1, 5}, 0, 0.0));
+  EXPECT_FALSE(cache.add_path(Hops{1, 5}, 0, 1.0));  // same path: refresh only
   EXPECT_EQ(cache.path_count(2.0), 1u);
 }
 
 TEST(DsrRouteCache, CapacityEvictsWorst) {
   DsrRouteCache cache(/*max_paths_per_dst=*/2);
-  cache.add_path({1, 5}, 5, 0.0);
-  cache.add_path({2, 5}, 9, 0.0);
-  cache.add_path({3, 4, 5}, 7, 0.0);  // evicts freshness-5 path
+  cache.add_path(Hops{1, 5}, 5, 0.0);
+  cache.add_path(Hops{2, 5}, 9, 0.0);
+  cache.add_path(Hops{3, 4, 5}, 7, 0.0);  // evicts freshness-5 path
   EXPECT_EQ(cache.path_count(1.0), 2u);
   EXPECT_EQ(cache.best_path(5, 1.0)->freshness, 9u);
 }
 
 TEST(DsrRouteCache, RemoveLinkDropsAffectedPaths) {
   DsrRouteCache cache;
-  cache.add_path({1, 2, 5}, 0, 0.0);  // owner->1->2->5 uses link 1-2
-  cache.add_path({3, 5}, 0, 0.0);
+  cache.add_path(Hops{1, 2, 5}, 0, 0.0);  // owner->1->2->5 uses link 1-2
+  cache.add_path(Hops{3, 5}, 0, 0.0);
   EXPECT_EQ(cache.remove_link(1, 2, /*owner=*/0), 1u);
   EXPECT_EQ(cache.best_path(5, 1.0)->hops, (std::vector<NodeId>{3, 5}));
 }
 
 TEST(DsrRouteCache, RemoveFirstHopLink) {
   DsrRouteCache cache;
-  cache.add_path({1, 2, 5}, 0, 0.0);
+  cache.add_path(Hops{1, 2, 5}, 0, 0.0);
   // The owner-to-first-hop link is implicit: owner=0, link 0-1.
   EXPECT_EQ(cache.remove_link(0, 1, /*owner=*/0), 1u);
   EXPECT_EQ(cache.best_path(5, 1.0), nullptr);
@@ -68,16 +74,222 @@ TEST(DsrRouteCache, RemoveFirstHopLink) {
 
 TEST(DsrRouteCache, ExpiryPurge) {
   DsrRouteCache cache(3, /*path_lifetime=*/10.0);
-  cache.add_path({1, 5}, 0, 0.0);
+  cache.add_path(Hops{1, 5}, 0, 0.0);
   EXPECT_EQ(cache.best_path(5, 20.0), nullptr);
   EXPECT_EQ(cache.purge_expired(20.0), 1u);
 }
 
 TEST(DsrRouteCache, AveragePathLength) {
   DsrRouteCache cache;
-  cache.add_path({1, 5}, 0, 0.0);        // 2 hops
-  cache.add_path({1, 2, 3, 6}, 0, 0.0);  // 4 hops
+  cache.add_path(Hops{1, 5}, 0, 0.0);        // 2 hops
+  cache.add_path(Hops{1, 2, 3, 6}, 0, 0.0);  // 4 hops
   EXPECT_DOUBLE_EQ(cache.average_path_length(1.0), 3.0);
+}
+
+TEST(DsrRouteCache, EqualPathsKeepEarliestSlotAfterRefresh) {
+  DsrRouteCache cache;
+  EXPECT_TRUE(cache.add_path(Hops{1, 5}, 0, 0.0));
+  EXPECT_TRUE(cache.add_path(Hops{2, 5}, 0, 1.0));
+  // Refreshing the later path makes it the most recently learned, but it
+  // keeps its slot, and the earliest slot wins the tie.
+  EXPECT_FALSE(cache.add_path(Hops{2, 5}, 0, 2.0));
+  const DsrCachePath* best = cache.best_path(5, 3.0);
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->hops, (Hops{1, 5}));
+  EXPECT_EQ(best->learned_at, 0.0);
+  // A removed path that is learned again goes behind the survivors.
+  EXPECT_EQ(cache.remove_link(0, 1, /*owner=*/0), 1u);
+  EXPECT_TRUE(cache.add_path(Hops{1, 5}, 0, 4.0));
+  EXPECT_EQ(cache.best_path(5, 5.0)->hops, (Hops{2, 5}));
+}
+
+// The cache's semantics written the plain way: one vector of paths per
+// destination, each path its own vector, every operation a linear scan.
+class ReferenceCache {
+ public:
+  ReferenceCache(std::size_t max_paths, SimTime lifetime)
+      : max_paths_(max_paths), lifetime_(lifetime) {}
+
+  bool add_path(const Hops& hops, SeqNo freshness, SimTime now) {
+    if (hops.empty()) return false;
+    auto& paths = by_dst_[hops.back()];
+    for (DsrCachePath& path : paths) {
+      if (path.hops == hops) {
+        path.learned_at = now;
+        path.freshness = std::max(path.freshness, freshness);
+        return false;
+      }
+    }
+    if (paths.size() < max_paths_) {
+      paths.push_back({hops, freshness, now});
+      return true;
+    }
+    const auto worst = std::min_element(
+        paths.begin(), paths.end(),
+        [](const DsrCachePath& a, const DsrCachePath& b) {
+          if (a.freshness != b.freshness) return a.freshness < b.freshness;
+          if (a.hops.size() != b.hops.size())
+            return a.hops.size() > b.hops.size();
+          return a.learned_at < b.learned_at;
+        });
+    *worst = {hops, freshness, now};
+    return true;
+  }
+
+  const DsrCachePath* best_path(NodeId dst, SimTime now) const {
+    const auto it = by_dst_.find(dst);
+    if (it == by_dst_.end()) return nullptr;
+    const DsrCachePath* best = nullptr;
+    for (const DsrCachePath& path : it->second) {
+      if (expired(path, now)) continue;
+      if (best == nullptr || path.freshness > best->freshness ||
+          (path.freshness == best->freshness &&
+           path.hops.size() < best->hops.size())) {
+        best = &path;
+      }
+    }
+    return best;
+  }
+
+  std::size_t remove_link(NodeId from, NodeId to, NodeId owner) {
+    return remove_if([&](const DsrCachePath& path) {
+      NodeId prev = owner;
+      for (const NodeId hop : path.hops) {
+        if (prev == from && hop == to) return true;
+        prev = hop;
+      }
+      return false;
+    });
+  }
+
+  std::size_t purge_expired(SimTime now) {
+    return remove_if(
+        [&](const DsrCachePath& path) { return expired(path, now); });
+  }
+
+  std::size_t path_count(SimTime now) const {
+    std::size_t count = 0;
+    for (const auto& [dst, paths] : by_dst_)
+      for (const DsrCachePath& path : paths) count += !expired(path, now);
+    return count;
+  }
+
+  double average_path_length(SimTime now) const {
+    std::size_t count = 0;
+    double total = 0;
+    for (const auto& [dst, paths] : by_dst_) {
+      for (const DsrCachePath& path : paths) {
+        if (expired(path, now)) continue;
+        ++count;
+        total += static_cast<double>(path.hops.size());
+      }
+    }
+    return count == 0 ? 0.0 : total / static_cast<double>(count);
+  }
+
+  /// Some stored path (possibly expired), or nullptr when empty.
+  const DsrCachePath* any_path(Rng& rng) const {
+    std::vector<const DsrCachePath*> all;
+    for (const auto& [dst, paths] : by_dst_)
+      for (const DsrCachePath& path : paths) all.push_back(&path);
+    return all.empty() ? nullptr : all[rng.uniform_int(all.size())];
+  }
+
+ private:
+  bool expired(const DsrCachePath& path, SimTime now) const {
+    return path.learned_at + lifetime_ < now;
+  }
+  template <typename Pred>
+  std::size_t remove_if(Pred pred) {
+    std::size_t removed = 0;
+    for (auto& [dst, paths] : by_dst_)
+      removed += static_cast<std::size_t>(std::erase_if(paths, pred));
+    return removed;
+  }
+
+  std::size_t max_paths_;
+  SimTime lifetime_;
+  std::map<NodeId, std::vector<DsrCachePath>> by_dst_;
+};
+
+TEST(DsrRouteCache, MatchesReferenceModel) {
+  constexpr NodeId kOwner = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const std::size_t max_paths = 1 + rng.uniform_int(4);
+    const SimTime lifetime = rng.uniform(5.0, 30.0);
+    DsrRouteCache cache(max_paths, lifetime);
+    ReferenceCache model(max_paths, lifetime);
+    const auto node = [&] { return static_cast<NodeId>(rng.uniform_int(12)); };
+    SimTime now = 0;
+    std::size_t stored = 0, refreshed = 0, unlinked = 0, purged = 0;
+    for (int op = 0; op < 5000; ++op) {
+      SCOPED_TRACE(op);
+      // Half the operations share an instant, as one overheard route's
+      // sub-paths do, so learned_at ties. Now and then the cache idles for
+      // about a lifetime, so that paths expire mid-run.
+      if (rng.chance(0.01)) {
+        now += lifetime * rng.uniform(0.5, 1.5);
+      } else if (rng.chance(0.5)) {
+        now += 0.05 * static_cast<double>(rng.uniform_int(4));
+      }
+      const std::uint64_t kind = rng.uniform_int(20);
+      if (kind < 10) {
+        // Half of the adds re-learn a stored path (a duplicate refresh).
+        const DsrCachePath* known = model.any_path(rng);
+        Hops hops;
+        if (known != nullptr && rng.chance(0.5)) {
+          hops = known->hops;
+        } else {
+          hops.resize(1 + rng.uniform_int(10));
+          for (NodeId& hop : hops) hop = node();
+        }
+        const SeqNo freshness =
+            rng.chance(0.05) ? kMaxSeqNo
+                             : static_cast<SeqNo>(rng.uniform_int(3));
+        const bool added = model.add_path(hops, freshness, now);
+        ASSERT_EQ(cache.add_path(hops, freshness, now), added);
+        ++(added ? stored : refreshed);
+      } else if (kind < 12) {
+        // Mostly a link some stored path uses, the owner's first hop
+        // included; otherwise any pair.
+        NodeId from = node();
+        NodeId to = node();
+        if (const DsrCachePath* known = model.any_path(rng);
+            known != nullptr && rng.chance(0.8)) {
+          const std::size_t at = rng.uniform_int(known->hops.size());
+          from = at == 0 ? kOwner : known->hops[at - 1];
+          to = known->hops[at];
+        }
+        const std::size_t removed = model.remove_link(from, to, kOwner);
+        ASSERT_EQ(cache.remove_link(from, to, kOwner), removed);
+        unlinked += removed;
+      } else if (kind < 15) {
+        const std::size_t removed = model.purge_expired(now);
+        ASSERT_EQ(cache.purge_expired(now), removed);
+        purged += removed;
+      } else {
+        ASSERT_EQ(cache.path_count(now), model.path_count(now));
+        ASSERT_EQ(cache.average_path_length(now),
+                  model.average_path_length(now));
+      }
+      const NodeId dst = node();
+      const DsrCachePath* got = cache.best_path(dst, now);
+      const DsrCachePath* want = model.best_path(dst, now);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "dst " << dst;
+      if (want != nullptr) {
+        ASSERT_EQ(got->hops, want->hops);
+        ASSERT_EQ(got->freshness, want->freshness);
+        ASSERT_EQ(got->learned_at, want->learned_at);
+      }
+    }
+    // The workload reaches every way a path enters or leaves the cache.
+    EXPECT_GT(stored, 0u);
+    EXPECT_GT(refreshed, 0u);
+    EXPECT_GT(unlinked, 0u);
+    EXPECT_GT(purged, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
