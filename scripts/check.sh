@@ -5,14 +5,16 @@
 #   3. TSan over the concurrency suites (thread pool, task groups,
 #      single-flight, deadline guards, cache stress, the lock-free
 #      checkpoint store, parallel gather, engine determinism) —
-# running the xfa_lint repo rules in every pass, then re-running the chaos /
-# corruption / checkpoint-store / crash-resume robustness suites under the
-# sanitizers with the
-# cache forced off (XFA_NO_CACHE) so every fault-injection, artifact-parsing
-# and kill/resume path is actually exercised under ASan+UBSan, and finally
-# building and self-testing the perf/ benchmark driver, which compiles
-# src/ on its own, so an API change that breaks it fails here. CI runs
-# exactly this script.
+# running the xfa_lint repo rules, the whole ctest suite (the hot-path
+# correctness cases and the quickstart example included) and the
+# scenario-file, sharded and supervised xfa_bench smokes in the first two
+# passes. After the release pass it builds and self-tests the perf/
+# benchmark driver, which compiles src/ on its own, so an API change that
+# breaks it fails here. After the sanitizer pass it re-runs the chaos /
+# corruption / checkpoint-store / crash-resume robustness suites with the
+# cache forced off (XFA_NO_CACHE) so every fault-injection,
+# artifact-parsing and kill/resume path is actually exercised under
+# ASan+UBSan. CI runs exactly this script.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -47,12 +49,6 @@ run_pass() {
   # enforced by the ctest gate above.
   "${build_dir}/tools/lint/xfa_lint" --format=sarif \
     --out="${build_dir}/xfa_lint.sarif" . >/dev/null || true
-  echo "=== ${name}: hot-path smoke (simulation + detection kernels) ==="
-  # Correctness smoke, not a benchmark: every kernel self-checks (grid vs
-  # brute force, scheduler counters, memoization identity, first-vs-last
-  # refit determinism, serial vs parallel score bit-identity) under
-  # XFA_CHECK.
-  "${build_dir}/bench/xfa_microbench" --quick
   echo "=== ${name}: scenario-file smoke (element graph, data-only combo) ==="
   # One examples/scenarios/*.scn end to end: parse -> lower -> build -> run.
   # The impersonation+TCP+faults combo exists only as data (no compiled-in
@@ -79,6 +75,9 @@ run_pass() {
     "${build_dir}/bench/xfa_bench" smoke > "${build_dir}/smoke-supervised.txt"
   cmp "${build_dir}/smoke-supervised.txt" "${build_dir}/shard-unsharded.txt"
   echo "=== ${name}: ctest ==="
+  # Includes the hot-path correctness cases (grid vs brute force, scheduler
+  # counters, mobility cache, refit determinism, serial vs parallel score
+  # bit-identity, a 500-node scale smoke) and the quickstart example.
   ctest --test-dir "${build_dir}" -j "${JOBS}" --output-on-failure
 }
 

@@ -94,7 +94,7 @@ class Channel {
   bool in_range(NodeId a, NodeId b) const;
   std::vector<NodeId> neighbors(NodeId node) const;
 
-  /// Grid/pruning diagnostics (microbench, property tests).
+  /// Grid/pruning diagnostics (perf/ work counters, property tests).
   const NeighborIndex& neighbor_index() const { return index_; }
 
   std::size_t node_count() const { return nodes_.size(); }

@@ -48,7 +48,7 @@ class NeighborIndex {
   /// model's own contract).
   void in_range_of(NodeId self, SimTime t, std::vector<NodeId>& out) const;
 
-  /// Diagnostic counters (microbench / property tests).
+  /// Diagnostic counters (perf/ work counters, property tests).
   struct Stats {
     std::uint64_t rebuilds = 0;
     std::uint64_t queries = 0;

@@ -67,7 +67,7 @@ class Scheduler {
   /// Number of live (not cancelled) events currently pending.
   std::size_t pending() const { return heap_.size() - cancelled_pending_; }
 
-  /// High-water mark of live pending events (diagnostic; microbench).
+  /// High-water mark of live pending events (diagnostic; perf/ counter).
   std::size_t peak_pending() const { return peak_pending_; }
 
   /// Number of tombstone compaction passes run so far (diagnostic).

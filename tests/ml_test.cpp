@@ -371,14 +371,17 @@ TEST(LinRegTest, LogDistance) {
 // beats the majority baseline for every classifier.
 class ClassifierParamTest : public ::testing::TestWithParam<int> {};
 
+std::unique_ptr<Classifier> make_classifier(int family) {
+  switch (family) {
+    case 0: return std::make_unique<C45>();
+    case 1: return std::make_unique<Ripper>();
+    default: return std::make_unique<NaiveBayes>();
+  }
+}
+
 TEST_P(ClassifierParamTest, BeatsMajorityBaseline) {
   const Dataset data = noisy_copy_dataset(600);
-  std::unique_ptr<Classifier> classifier;
-  switch (GetParam()) {
-    case 0: classifier = std::make_unique<C45>(); break;
-    case 1: classifier = std::make_unique<Ripper>(); break;
-    default: classifier = std::make_unique<NaiveBayes>(); break;
-  }
+  const std::unique_ptr<Classifier> classifier = make_classifier(GetParam());
   classifier->fit(DatasetView(data), {0, 1}, 2);
   std::size_t correct = 0;
   for (const std::vector<int>& row : data.rows)
@@ -387,6 +390,50 @@ TEST_P(ClassifierParamTest, BeatsMajorityBaseline) {
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(data.size()),
             0.6)
       << classifier->name();
+}
+
+/// 300 rows x 40 columns of cardinality 5, correlated in blocks of 4, so
+/// every classifier grows a non-trivial model on the last column.
+Dataset block_correlated_dataset() {
+  Dataset data;
+  data.cardinality.assign(40, 5);
+  Rng rng(5);
+  for (std::size_t r = 0; r < 300; ++r) {
+    std::vector<int> row(40);
+    for (std::size_t c = 0; c < 40; c += 4) {
+      const int base = static_cast<int>(rng.uniform_int(5));
+      for (std::size_t k = c; k < c + 4; ++k)
+        row[k] =
+            rng.chance(0.8) ? base : static_cast<int>(rng.uniform_int(5));
+    }
+    data.rows.push_back(std::move(row));
+  }
+  return data;
+}
+
+// A classifier keeps its model and scratch in the object between fits:
+// refitting one object must give exactly the model a fresh object gives.
+TEST_P(ClassifierParamTest, RefitOnSameObjectIsIdentical) {
+  const Dataset data = block_correlated_dataset();
+  const DatasetView view(data);
+  std::vector<std::size_t> features(39);
+  for (std::size_t i = 0; i < features.size(); ++i) features[i] = i;
+
+  const std::unique_ptr<Classifier> fresh = make_classifier(GetParam());
+  const std::unique_ptr<Classifier> refit = make_classifier(GetParam());
+  fresh->fit(view, features, 39);
+  for (int i = 0; i < 3; ++i) refit->fit(view, features, 39);
+
+  EXPECT_EQ(fresh->describe({}), refit->describe({})) << fresh->name();
+  // Every training row, then one row of never-seen values, which falls back
+  // to C4.5's root distribution and NBC's unseen term.
+  std::vector<std::vector<int>> rows = data.rows;
+  rows.emplace_back(40, 5);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::vector<double> a = dist_of(*fresh, rows[r]);
+    const std::vector<double> b = dist_of(*refit, rows[r]);
+    ASSERT_EQ(a, b) << fresh->name() << " row " << r;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, ClassifierParamTest,

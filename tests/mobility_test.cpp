@@ -89,7 +89,11 @@ TEST(RandomWaypoint, DeterministicAcrossInstances) {
   RandomWaypointMobility b(5, config, Rng(77));
   for (NodeId n = 0; n < 5; ++n) {
     for (double t = 0; t < 100; t += 7.3) {
-      EXPECT_EQ(a.position(n, t), b.position(n, t));
+      const Vec2 fresh = a.position(n, t);
+      EXPECT_EQ(fresh, b.position(n, t));
+      // A same-instant repeat (the channel's sender-then-candidate pattern)
+      // is served from the per-node cache and must not drift.
+      EXPECT_EQ(a.position(n, t), fresh);
     }
   }
 }

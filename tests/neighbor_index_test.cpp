@@ -76,6 +76,7 @@ TEST(NeighborIndexTest, MatchesBruteForceAcrossWaypointSnapshots) {
     }
   }
   EXPECT_GT(index.stats().rebuilds, 1u);  // the slack budget did its job
+  EXPECT_GT(index.stats().queries, 0u);
   EXPECT_GE(index.stats().candidates, index.stats().confirmed);
 }
 

@@ -225,6 +225,28 @@ TEST(RunScenarioTest, SummaryChannelCountsAreConsistent) {
       << "broadcasts reach multiple receivers";
 }
 
+// Scale smoke: a 500-node AODV/UDP world at the paper's spatial density
+// (~50 nodes per 1000x1000 m, so a 3162 m field edge) must actually run —
+// events dispatched, radio traffic delivered, the monitor audited. The
+// cache is off so the world is simulated on every run.
+TEST(RunScenarioTest, FiveHundredNodeWorldRunsAtConstantDensity) {
+  ScenarioConfig config;
+  config.node_count = 500;
+  config.duration = 20;
+  config.seed = 5100;
+  config.mobility.field_width = 3162;
+  config.mobility.field_height = 3162;
+  config.traffic.max_connections = 60;
+  setenv("XFA_NO_CACHE", "1", 1);
+  refresh_env_for_testing();
+  const ScenarioResult result = run_scenario_checked(config).value();
+  unsetenv("XFA_NO_CACHE");
+  refresh_env_for_testing();
+  EXPECT_GT(result.summary.scheduler_events, 0u);
+  EXPECT_GT(result.summary.channel.deliveries, 0u);
+  EXPECT_GT(result.summary.monitor_audit_packets, 0u);
+}
+
 TEST(ScaledOptionsTest, FastModeScalesSchedules) {
   ExperimentOptions options = paper_mixed_options();
   options.duration = 8000;
