@@ -104,12 +104,16 @@ run_pass "asan+ubsan" build-check-sanitize \
 # row values (BlockKernelTest feeds them negative and out-of-range values),
 # and the DSR route cache, which overwrites evicted paths in place and
 # compacts a destination's slots on removal (DsrRouteCache, DsrAgent),
+# and the neighbor grid, whose confirmation bitset is indexed by node id
+# (NeighborIndexTest), and the flood-id cache, which erases expired entries
+# while the agent keeps using it (FloodIdCache),
 # must all hold with sanitizers armed and caching disabled — no on-disk bytes
 # may crash the process, no kill point may lose or corrupt a stored
-# checkpoint unit, and no chaos, arrival-pool or kernel path may contain UB.
+# checkpoint unit, and no chaos, arrival-pool, kernel, grid or flood-cache
+# path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|DiscretizerBranchless|DsrRouteCache|DsrAgent' \
+  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be

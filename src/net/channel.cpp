@@ -26,13 +26,6 @@ void Channel::register_node(Node& node) {
   index_.set_node_count(nodes_.size());
 }
 
-bool Channel::in_range(NodeId a, NodeId b) const {
-  if (a == b) return false;
-  const SimTime t = sim_.now();
-  return distance2(mobility_.position(a, t), mobility_.position(b, t)) <=
-         config_.range_m * config_.range_m;
-}
-
 std::vector<NodeId> Channel::neighbors(NodeId node) const {
   std::vector<NodeId> out;
   index_.in_range_of(node, sim_.now(), out);

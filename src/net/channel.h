@@ -91,7 +91,7 @@ class Channel {
   /// sender's link-failure handler (models a missing 802.11 ACK).
   void transmit(NodeId from, Packet pkt, NodeId to);
 
-  bool in_range(NodeId a, NodeId b) const;
+  /// Nodes other than `node` within range of it now, in ascending id order.
   std::vector<NodeId> neighbors(NodeId node) const;
 
   /// Grid/pruning diagnostics (perf/ work counters, property tests).

@@ -1,6 +1,7 @@
 #include "net/neighbor_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -8,6 +9,22 @@
 #include "common/check.h"
 
 namespace xfa {
+
+namespace {
+
+// Width of the slack band's rounding margin, as a fraction of the range.
+// The band decides from computed doubles and must agree with the reference
+// check distance2(center, position) <= range^2 evaluated in doubles. The
+// two differ from exact arithmetic by a few ulps: each coordinate (mobility
+// evaluation, the subtraction in distance2) by about eps * X for a field of
+// extent X, and each square, sum and slack product by a few eps relative to
+// values near (1.25 range)^2, with eps = 2^-53. Together that is below
+// 10 * eps * (X + range) metres, under 1e-6 * range for any field narrower
+// than 10^8 ranges, so a candidate the margin-widened band decides from the
+// snapshot gets the answer the reference would give.
+constexpr double kRoundingMargin = 1e-6;
+
+}  // namespace
 
 NeighborIndex::NeighborIndex(const MobilityModel& mobility, double range_m,
                              double max_speed)
@@ -73,16 +90,18 @@ void NeighborIndex::rebuild(SimTime t) const {
   }
   for (std::size_t c = 1; c <= cells; ++c) starts_[c] += starts_[c - 1];
   members_.resize(node_count_);
-  // Fill in ascending node-id order so each cell's member list is sorted by
-  // id.
+  member_pos_.resize(node_count_);
   cursor_.assign(starts_.begin(), starts_.end() - 1);
   for (std::size_t i = 0; i < node_count_; ++i) {
     const std::size_t c =
         static_cast<std::size_t>(cell_coord(positions_[i].y) - grid_y0_) *
             static_cast<std::size_t>(grid_w_) +
         static_cast<std::size_t>(cell_coord(positions_[i].x) - grid_x0_);
-    members_[cursor_[c]++] = static_cast<NodeId>(i);
+    const std::uint32_t slot = cursor_[c]++;
+    members_[slot] = static_cast<NodeId>(i);
+    member_pos_[slot] = positions_[i];
   }
+  mask_.assign((node_count_ + 63) / 64, 0);
   built_ = true;
   built_at_ = t;
   indexed_nodes_ = node_count_;
@@ -101,6 +120,7 @@ void NeighborIndex::in_range_of(NodeId self, SimTime t,
       const auto id = static_cast<NodeId>(i);
       if (id == self) continue;
       ++stats_.candidates;
+      ++stats_.exact;
       if (distance2(center, mobility_.position(id, t)) <= range2_) {
         ++stats_.confirmed;
         out.push_back(id);
@@ -117,7 +137,8 @@ void NeighborIndex::in_range_of(NodeId self, SimTime t,
   // neighbors of `center` all sit in cells intersecting the widened disc.
   // Clamping to the grid's bounding box is safe for the same reason: every
   // bucketed position lies inside it.
-  const double reach = range_m_ + (t - built_at_) * max_speed_;
+  const double slack = (t - built_at_) * max_speed_;
+  const double reach = range_m_ + slack;
   const std::int32_t qx0 =
       std::max(cell_coord(center.x - reach), grid_x0_);
   const std::int32_t qx1 =
@@ -126,27 +147,65 @@ void NeighborIndex::in_range_of(NodeId self, SimTime t,
       std::max(cell_coord(center.y - reach), grid_y0_);
   const std::int32_t qy1 =
       std::min(cell_coord(center.y + reach), grid_y0_ + grid_h_ - 1);
-  scratch_.clear();
-  for (std::int32_t cy = qy0; cy <= qy1; ++cy) {
+
+  // By the triangle inequality a candidate's true distance lies within
+  // d_b +- slack of its bucketed distance d_b. Beyond the band's outer edge
+  // it is out of range, inside the inner edge it is in range, and only the
+  // band between evaluates its true position. The inner edge stays positive
+  // because a query never sees more slack than the budget (range/4).
+  const double margin = range_m_ * kRoundingMargin;
+  const double outer = reach + margin;
+  const double inner = range_m_ - slack - margin;
+  const double outer2 = outer * outer;
+  const double inner2 = inner * inner;
+  const NodeId* const ids = members_.data();
+  const Vec2* const pos = member_pos_.data();
+  std::uint64_t* const mask = mask_.data();
+  std::uint64_t candidates = 0;
+  std::uint64_t confirmed = 0;
+  std::uint64_t exact = 0;
+  // (qx0 <= qx1 whenever the mobility keeps its speed promise; the guard
+  // keeps a broken promise from indexing before a row's run.)
+  for (std::int32_t cy = qy0; qx0 <= qx1 && cy <= qy1; ++cy) {
+    // The covered cells of one grid row are one contiguous CSR run.
     const std::size_t row = static_cast<std::size_t>(cy - grid_y0_) *
                             static_cast<std::size_t>(grid_w_);
-    for (std::int32_t cx = qx0; cx <= qx1; ++cx) {
-      const std::size_t c = row + static_cast<std::size_t>(cx - grid_x0_);
-      scratch_.insert(scratch_.end(), members_.begin() + starts_[c],
-                      members_.begin() + starts_[c + 1]);
+    const std::uint32_t end =
+        starts_[row + static_cast<std::size_t>(qx1 - grid_x0_) + 1];
+    for (std::uint32_t k = starts_[row + static_cast<std::size_t>(
+                                             qx0 - grid_x0_)];
+         k < end; ++k) {
+      const NodeId id = ids[k];
+      if (id == self) continue;
+      ++candidates;
+      const double d2 = distance2(center, pos[k]);
+      if (d2 > outer2) continue;
+      if (d2 > inner2) {
+        ++exact;
+        if (distance2(center, mobility_.position(id, t)) > range2_) continue;
+      }
+      ++confirmed;
+      const auto bit = static_cast<std::uint32_t>(id);
+      mask[bit >> 6] |= std::uint64_t{1} << (bit & 63);
     }
   }
+  stats_.candidates += candidates;
+  stats_.confirmed += confirmed;
+  stats_.exact += exact;
+
   // Ascending id order is load-bearing: the channel draws per-receiver RNG
   // decisions in this order, so it is part of the byte-identity contract.
-  // (Each cell's run is already id-sorted; the cross-cell gather is not.)
-  std::sort(scratch_.begin(), scratch_.end());
-  for (const NodeId id : scratch_) {
-    if (id == self) continue;
-    ++stats_.candidates;
-    if (distance2(center, mobility_.position(id, t)) <= range2_) {
-      ++stats_.confirmed;
-      out.push_back(id);
-    }
+  // Emitting set bits word by word gives that order with no sort, and
+  // leaves the mask zeroed for the next query.
+  for (std::size_t w = 0; w < mask_.size(); ++w) {
+    std::uint64_t word = mask[w];
+    if (word == 0) continue;
+    mask[w] = 0;
+    do {
+      out.push_back(static_cast<NodeId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+      word &= word - 1;
+    } while (word != 0);
   }
 }
 

@@ -6,19 +6,22 @@
 // distance check against every registered node per transmission. The grid
 // buckets node positions into square cells and answers "who might be within
 // `range` of this point?" by scanning only the cells intersecting the query
-// disc; an exact squared-distance confirmation against *fresh* positions
-// then makes the result identical to the brute-force scan (same nodes, same
-// ascending-id order), so traces stay byte-for-byte unchanged.
+// disc. Each member's bucketed position is stored beside its id, so almost
+// every candidate is decided from the snapshot alone; only candidates in a
+// thin band around the range, where the snapshot cannot decide, evaluate
+// their true position. The result is identical to the brute-force scan (same
+// nodes, same ascending-id order), so traces stay byte-for-byte unchanged.
 //
 // Staleness model: the grid snapshot taken at time t0 stays usable at t >=
 // t0 because a node moving at most `max_speed` can have drifted at most
-// max_speed * (t - t0) metres from its bucketed position; the query radius
-// is widened by exactly that slack. Once the slack exceeds a fixed budget
-// the grid is rebuilt (O(N), amortized over the many transmissions in
-// between). `max_speed` is therefore a hard correctness bound: the index is
-// only enabled when the caller can promise one (max_speed >= 0), and
-// teleporting mobility models (StaticPositions::move) must leave it
-// disabled — the disabled fallback is the plain exact scan.
+// s = max_speed * (t - t0) metres from its bucketed position. Pruning widens
+// the query radius by s; the band test uses that a node whose bucketed
+// distance is d_b has true distance within d_b +- s. Once the slack exceeds
+// a fixed budget the grid is rebuilt (O(N), amortized over the many
+// transmissions in between). `max_speed` is therefore a hard correctness
+// bound: the index is only enabled when the caller can promise one
+// (max_speed >= 0), and teleporting mobility models (StaticPositions::move)
+// must leave it disabled — the disabled fallback is the plain exact scan.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +46,23 @@ class NeighborIndex {
 
   /// Appends to `out`, in ascending node-id order, every node other than
   /// `self` whose position at `t` is within `range_m` of `self`'s position
-  /// at `t`. Exact: grid pruning is conservative, confirmation evaluates
-  /// true positions. Queries must be non-decreasing in `t` (the mobility
-  /// model's own contract).
+  /// at `t`. Exact: grid pruning and the snapshot band test are
+  /// conservative, and undecided candidates evaluate true positions.
+  /// Queries must be non-decreasing in `t` (the mobility model's own
+  /// contract).
   void in_range_of(NodeId self, SimTime t, std::vector<NodeId>& out) const;
 
   /// Diagnostic counters (perf/ work counters, property tests).
   struct Stats {
     std::uint64_t rebuilds = 0;
     std::uint64_t queries = 0;
-    std::uint64_t candidates = 0;  // pruned candidates exactly checked
-    std::uint64_t confirmed = 0;   // candidates actually within range
+    // Ids other than `self` in the scanned cells (every other node when
+    // disabled).
+    std::uint64_t candidates = 0;
+    std::uint64_t confirmed = 0;  // candidates actually within range
+    // Candidates whose true position was evaluated: the slack band's when
+    // the grid is enabled, every candidate when it is disabled.
+    std::uint64_t exact = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -75,20 +84,22 @@ class NeighborIndex {
   mutable std::size_t indexed_nodes_ = 0;
   // Dense CSR grid over the bounding box of the bucketed positions: cell
   // (cx, cy) covers members_[starts_[c] .. starts_[c+1]) with
-  // c = (cy - grid_y0_) * grid_w_ + (cx - grid_x0_). Built by counting sort
-  // in ascending node-id order, so each cell's member list is sorted. The
-  // two flat vectors replace a hash map of per-cell vectors: rebuild is two
-  // linear passes with zero allocation at steady state, and a query's cell
-  // lookup is pure index arithmetic instead of a hash probe per cell.
+  // c = (cy - grid_y0_) * grid_w_ + (cx - grid_x0_), and member_pos_ holds
+  // each member's bucketed position at the same index. Built by counting
+  // sort, so the cells of one grid row are one contiguous run: a query walks
+  // starts_[row + qx0] .. starts_[row + qx1 + 1] per covered row.
   mutable std::int32_t grid_x0_ = 0;
   mutable std::int32_t grid_y0_ = 0;
   mutable std::int32_t grid_w_ = 0;
   mutable std::int32_t grid_h_ = 0;
   mutable std::vector<std::uint32_t> starts_;
   mutable std::vector<NodeId> members_;
-  mutable std::vector<Vec2> positions_;  // rebuild scratch (position reuse)
+  mutable std::vector<Vec2> member_pos_;
+  mutable std::vector<Vec2> positions_;  // rebuild scratch, id order
   mutable std::vector<std::uint32_t> cursor_;  // rebuild scratch (fill slots)
-  mutable std::vector<NodeId> scratch_;
+  // One bit per node id, set for each confirmed neighbor and cleared as the
+  // query emits them in ascending id order; all zero between queries.
+  mutable std::vector<std::uint64_t> mask_;
   mutable Stats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "routing/route_events.h"
 
+#include <algorithm>
 #include <ostream>
 #include <utility>
 
@@ -50,14 +51,20 @@ bool FloodIdCache::seen_before(NodeId origin, std::uint32_t id, SimTime now) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(origin)) << 32) |
       id;
-  const auto [it, inserted] = entries_.emplace(key, now + ttl_);
-  if (inserted) return false;
-  if (it->second < now) {
+  // try_emplace looks the key up before it builds a node, so a repeat
+  // sighting allocates nothing.
+  const auto [it, inserted] = entries_.try_emplace(key, now + ttl_);
+  if (!inserted) {
+    const bool live = it->second >= now;  // else the sighting expired
     it->second = now + ttl_;
-    return false;  // previous sighting expired
+    return live;
   }
-  it->second = now + ttl_;
-  return true;
+  if (entries_.size() >= sweep_at_) {
+    std::erase_if(entries_,
+                  [now](const auto& entry) { return entry.second < now; });
+    sweep_at_ = std::max(kMinSweepAt, 2 * entries_.size());
+  }
+  return false;
 }
 
 }  // namespace xfa

@@ -41,15 +41,26 @@ class SendBuffer {
 };
 
 /// Duplicate-flood suppression: remembers (origin, id) pairs with expiry.
+/// Expired pairs are erased whenever the map reaches a watermark that
+/// doubles with the live count, so the map stays within about twice the
+/// pairs heard in the last `ttl` seconds. An expired pair already answers
+/// as unseen and nothing iterates the map, so erasing it changes no answer.
 class FloodIdCache {
  public:
   explicit FloodIdCache(SimTime ttl = 30.0) : ttl_(ttl) {}
 
   /// Returns true if this (origin, id) was already seen (and refreshes it).
+  /// `now` must be non-decreasing across calls.
   bool seen_before(NodeId origin, std::uint32_t id, SimTime now);
 
+  /// Stored pairs, expired ones not yet swept included.
+  std::size_t size() const { return entries_.size(); }
+
  private:
+  static constexpr std::size_t kMinSweepAt = 64;
+
   SimTime ttl_;
+  std::size_t sweep_at_ = kMinSweepAt;
   std::unordered_map<std::uint64_t, SimTime> entries_;
 };
 

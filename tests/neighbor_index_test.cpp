@@ -166,6 +166,107 @@ TEST(NeighborIndexTest, StaleGridWithDriftingNodesStaysExact) {
   EXPECT_GT(index.stats().rebuilds, 1u);
 }
 
+TEST(NeighborIndexTest, SlackBandEdgesAreExact) {
+  // Built at t = 0 and queried at t = 1 with 10 m of slack: every node's
+  // true distance to the stationary center lies within d_b +- 10 of its
+  // bucketed distance d_b, and the snapshot decides only outside the band
+  // [R - s - m, R + s + m] (m = 1e-6 R = 1e-4 m). Nodes move radially or
+  // tangentially at exactly the promised speed; kHair (< m) sits just inside
+  // or outside each edge.
+  const double kRange = 100.0;
+  const double kMaxSpeed = 10.0;
+  const double kHair = 5e-5;
+  const double kOutside = 2e-4;  // beyond the margin
+  const std::vector<Vec2> positions = {
+      {0, 0},                               // 0: center
+      {110, 0},                             // 1: R + s inward -> 100, in
+      {110 + kHair, 0},                     // 2: R + s + hair inward, out
+      {-(110 - kHair), 0},                  // 3: R + s - hair inward, in
+      {0, 110 + kOutside},                  // 4: past the band, out
+      {0, 90},                              // 5: R - s outward -> 100, in
+      {0, 90 + kHair},                      // 6: R - s + hair outward, out
+      {0, -(90 - kHair)},                   // 7: R - s - hair outward, in
+      {90 - kOutside, 0},                   // 8: inside the band, in
+      {60, 80},                             // 9: R outward -> 110, out
+      {-60, 80},                            // 10: R inward -> 90, in
+      {80, -60},                            // 11: R tangential -> 100.5, out
+      {-(100 + kHair), 0},                  // 12: R + hair inward, in
+      {0, -(100 - kHair)},                  // 13: R - hair outward, out
+  };
+  const std::vector<Vec2> velocities = {
+      {0, 0},   {-10, 0}, {-10, 0}, {10, 0}, {0, -10}, {0, 10}, {0, 10},
+      {0, -10}, {10, 0},  {6, 8},   {6, -8}, {6, 8},   {10, 0}, {0, -10},
+  };
+  ScriptedMobility mobility(positions, velocities);
+  NeighborIndex index(mobility, kRange, kMaxSpeed);
+  index.set_node_count(positions.size());
+
+  std::vector<NodeId> out;
+  index.in_range_of(0, 0.0, out);  // builds the snapshot
+  EXPECT_EQ(out, brute_force(mobility, positions.size(), 0, 0.0, kRange));
+
+  const NeighborIndex::Stats before = index.stats();
+  out.clear();
+  index.in_range_of(0, 1.0, out);
+  EXPECT_EQ(out, (std::vector<NodeId>{1, 3, 5, 7, 8, 10, 12}));
+  EXPECT_EQ(out, brute_force(mobility, positions.size(), 0, 1.0, kRange));
+  // Nodes 4 and 8 are decided from the snapshot, the other eleven in the
+  // band from their true positions.
+  EXPECT_EQ(index.stats().candidates - before.candidates, 13u);
+  EXPECT_EQ(index.stats().exact - before.exact, 11u);
+  EXPECT_EQ(index.stats().rebuilds, 1u);
+
+  // Every pair, up to the full slack budget (t = 2.5, s = 25 = range/4,
+  // still the first snapshot) and across the rebuild after it.
+  for (const SimTime t : {1.0, 1.75, 2.5, 2.75, 4.0}) {
+    for (NodeId self = 0; self < static_cast<NodeId>(positions.size());
+         ++self) {
+      out.clear();
+      index.in_range_of(self, t, out);
+      EXPECT_EQ(out, brute_force(mobility, positions.size(), self, t, kRange))
+          << "self=" << self << " t=" << t;
+    }
+    if (t == 2.5) {
+      EXPECT_EQ(index.stats().rebuilds, 1u);
+    }
+  }
+  EXPECT_EQ(index.stats().rebuilds, 2u);
+}
+
+TEST(NeighborIndexTest, MatchesBruteForceAbove64Nodes) {
+  // 130 ids fill three mask words, the last one partially.
+  const std::size_t kNodes = 130;
+  const double kRange = 250.0;
+  MobilityConfig config;  // 1000x1000, 20 m/s
+  RandomWaypointMobility mobility(kNodes, config, Rng(64));
+  NeighborIndex index(mobility, kRange, config.max_speed);
+  index.set_node_count(kNodes);
+
+  // Each snapshot is queried at its build time, mid-way and at exactly the
+  // rebuild threshold (3.125 s x 20 m/s = range/4); the next query rebuilds.
+  // Every time is a multiple of 1/8 s, so the threshold product is exact.
+  std::vector<NodeId> out;
+  std::uint64_t snapshots = 0;
+  for (SimTime base = 0; base <= 40.0; base += 3.25) {
+    ++snapshots;
+    for (const SimTime t : {base, base + 1.5, base + 3.125}) {
+      for (NodeId self = 0; self < static_cast<NodeId>(kNodes); ++self) {
+        out.clear();
+        index.in_range_of(self, t, out);
+        ASSERT_EQ(out, brute_force(mobility, kNodes, self, t, kRange))
+            << "self=" << self << " t=" << t;
+      }
+    }
+  }
+  const NeighborIndex::Stats& stats = index.stats();
+  EXPECT_EQ(stats.rebuilds, snapshots);
+  // The band is neither empty nor everything: most candidates are decided
+  // from the snapshot.
+  EXPECT_GT(stats.exact, 0u);
+  EXPECT_LT(stats.exact, stats.candidates);
+  EXPECT_GE(stats.candidates, stats.confirmed);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-channel equivalence: a grid-enabled channel must behave identically
 // to a grid-disabled one — same deliveries, same RNG draw order, same stats —

@@ -122,7 +122,7 @@ TEST(ChannelTest, BroadcastReachesAllNodesInSmallField) {
 
 TEST(ChannelTest, OutOfRangeNodesGetNothing) {
   Rig rig(2, 100000.0, no_jitter(), /*seed=*/3);
-  ASSERT_FALSE(rig.channel.in_range(0, 1));  // sanity for this seed
+  ASSERT_TRUE(rig.channel.neighbors(0).empty());  // sanity for this seed
   Packet pkt;
   pkt.src = 0;
   pkt.dst = kBroadcast;

@@ -2,9 +2,12 @@
 // routing stats printer).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <utility>
 
 #include "routing/route_events.h"
+#include "sim/rng.h"
 
 namespace xfa {
 namespace {
@@ -83,6 +86,54 @@ TEST(FloodIdCache, NegativeNodeIdsHashDistinctly) {
   EXPECT_FALSE(cache.seen_before(100000, 1, 0.0));
   EXPECT_FALSE(cache.seen_before(0, 1, 0.0));
   EXPECT_TRUE(cache.seen_before(100000, 1, 0.0));
+}
+
+TEST(FloodIdCache, SweptMatchesUnsweptReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    // Times and the ttl sit on a 0.25 s grid, so a refreshed expiry often
+    // equals a later `now` exactly: the tie that still counts as seen.
+    const SimTime ttl = 0.25 * static_cast<double>(4 + rng.uniform_int(20));
+    FloodIdCache cache(ttl);
+    // The cache before sweeping: never erases, an expired pair answers as
+    // unseen and is refreshed.
+    std::map<std::pair<NodeId, std::uint32_t>, SimTime> reference;
+    SimTime now = 0;
+    std::uint32_t newest_id = 0;
+    std::size_t fresh = 0, seen = 0, expired = 0;
+    for (int op = 0; op < 20000; ++op) {
+      SCOPED_TRACE(op);
+      if (rng.chance(0.3)) {
+        now += 0.25 * static_cast<double>(rng.uniform_int(3));
+      }
+      if (rng.chance(0.05)) ++newest_id;
+      // Origins include negative ids; flood ids are mostly recent, sometimes
+      // any id ever used, so that expired pairs come back.
+      const auto origin = static_cast<NodeId>(rng.uniform_int(24)) - 2;
+      const std::uint32_t id =
+          rng.chance(0.9)
+              ? newest_id + static_cast<std::uint32_t>(rng.uniform_int(4))
+              : static_cast<std::uint32_t>(rng.uniform_int(newest_id + 1));
+      const auto [it, inserted] =
+          reference.emplace(std::make_pair(origin, id), now + ttl);
+      bool want = false;
+      if (inserted) {
+        ++fresh;
+      } else {
+        want = it->second >= now;
+        ++(want ? seen : expired);
+        it->second = now + ttl;
+      }
+      ASSERT_EQ(cache.seen_before(origin, id, now), want);
+    }
+    // Every answer kind occurred, and the sweeps kept the map well below the
+    // reference, which holds every pair ever heard.
+    EXPECT_GT(fresh, 0u);
+    EXPECT_GT(seen, 0u);
+    EXPECT_GT(expired, 0u);
+    EXPECT_LT(cache.size(), reference.size() / 4);
+  }
 }
 
 TEST(RoutingStats, PrinterIncludesCounters) {

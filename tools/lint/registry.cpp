@@ -59,9 +59,11 @@ const std::vector<RuleInfo>& rule_registry() {
       {"hoist-or-grid",
        "no mobility_.position() inside src/net loop bodies",
        "src/net except net/neighbor_index.*",
-       "Per-receiver position lookups in channel hot loops are O(N) trig "
-       "each; hoist the query out of the loop or route it through the "
-       "spatial NeighborIndex, which owns the sanctioned bulk query."},
+       "A position lookup is a virtual call, a bounds check, a memo probe "
+       "and a segment interpolation, so a per-receiver lookup in a channel "
+       "hot loop costs all of that N times per transmission; hoist the "
+       "query out of the loop or route it through the spatial "
+       "NeighborIndex, which owns the sanctioned bulk query."},
       {"include-cycle",
        "the quoted-include graph under src/ is acyclic",
        "src/**",
