@@ -102,6 +102,9 @@ run_pass "asan+ubsan" build-check-sanitize \
 # the FanOut batched-vs-per-receiver world comparison), and the block scoring
 # kernels and branch-free discretizer, which index tables and cut rows by
 # row values (BlockKernelTest feeds them negative and out-of-range values),
+# and the dataset view's (column, value) row bitsets and the RIPPER fit that
+# ANDs and popcounts them, which index words by row value and row number
+# (DatasetViewTest, RipperTest),
 # and the DSR route cache, which overwrites evicted paths in place and
 # compacts a destination's slots on removal (DsrRouteCache, DsrAgent),
 # and the neighbor grid, whose confirmation bitset is indexed by node id
@@ -113,14 +116,15 @@ run_pass "asan+ubsan" build-check-sanitize \
 # path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache' \
+  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be
 # race-free under ThreadSanitizer. ASan and TSan cannot share a build, so
 # this is its own pass; it runs only the concurrency-focused suites (a full
 # TSan ctest would multiply the simulation-heavy tests' runtime ~10x for no
-# extra interleaving coverage).
+# extra interleaving coverage). RipperTest fits RIPPER sub-models on 2 and 8
+# pool threads over one shared DatasetView and its row bitsets.
 echo "=== tsan: configure + build ==="
 cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -128,7 +132,7 @@ cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
 cmake --build build-check-tsan -j "${JOBS}"
 echo "=== tsan: concurrency suites ==="
 ctest --test-dir build-check-tsan -j "${JOBS}" \
-  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|BlockKernel|DiscretizerBranchless|Deadline|Shard|FeatSel' \
+  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|RipperTest|DatasetViewTest|BlockKernel|DiscretizerBranchless|Deadline|Shard|FeatSel' \
   --output-on-failure
 
 echo "All checks passed."

@@ -31,8 +31,11 @@ struct RipperConfig {
 
 class Ripper final : public Classifier {
  public:
+  /// Aborts unless grow_fraction ∈ (0, 1] and min_prune_precision ∈ [0, 1].
   explicit Ripper(const RipperConfig& config = {});
 
+  /// Grows, prunes and covers over the view's per-(column, value) row
+  /// bitsets (DatasetView::row_bits): every p/n count is a popcount.
   void fit(const DatasetView& view,
            const std::vector<std::size_t>& feature_columns,
            std::size_t label_column) override;
@@ -73,10 +76,6 @@ class Ripper final : public Classifier {
     std::vector<double> class_counts;  // training examples covered, per class
     std::vector<double> dist;          // cached Laplace distribution
   };
-
-  /// Coverage test against the column-major view (fit-time hot path).
-  static bool matches_view(const Rule& rule, const DatasetView& view,
-                           std::size_t row, std::size_t keep_conditions);
 
   RipperConfig config_;
   std::vector<Rule> rules_;           // ordered decision list

@@ -1,11 +1,16 @@
 // Unit tests: C4.5, RIPPER, naive Bayes, linear regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/serial.h"
 #include "ml/c45.h"
 #include "ml/linreg.h"
 #include "ml/naive_bayes.h"
@@ -330,6 +335,259 @@ TEST(C45DeathTest, RejectsOutOfRangePruneConfidence) {
   EXPECT_DEATH(C45{config}, "prune_confidence");
   config.prune_confidence = -0.1;
   EXPECT_DEATH(C45{config}, "prune_confidence");
+}
+
+TEST(RipperDeathTest, RejectsOutOfRangeGrowFraction) {
+  // Above one the grow set would outgrow the pool and the prune span's
+  // size underflow.
+  RipperConfig config;
+  config.grow_fraction = 1.5;
+  EXPECT_DEATH(Ripper{config}, "grow_fraction");
+  config.grow_fraction = 0.0;
+  EXPECT_DEATH(Ripper{config}, "grow_fraction");
+  config.grow_fraction = -0.5;
+  EXPECT_DEATH(Ripper{config}, "grow_fraction");
+}
+
+TEST(RipperDeathTest, RejectsOutOfRangePrunePrecision) {
+  RipperConfig config;
+  config.min_prune_precision = 1.25;
+  EXPECT_DEATH(Ripper{config}, "min_prune_precision");
+  config.min_prune_precision = -0.1;
+  EXPECT_DEATH(Ripper{config}, "min_prune_precision");
+}
+
+// -- RIPPER's bitset fit against a per-row counting reference ---------------
+
+/// RIPPER's fit as plain per-row counting over the row-major rows: every
+/// (p, n) is a scan, the prune step rescans per kept prefix. It returns the
+/// model in Ripper::save_state's layout, so Ripper::load_state turns it
+/// into a classifier to compare with the real fit.
+std::string reference_ripper_state(const Dataset& data,
+                                   const std::vector<std::size_t>& features,
+                                   std::size_t label,
+                                   const RipperConfig& config) {
+  struct Rule {
+    std::vector<std::pair<std::size_t, int>> conditions;
+    int target = 0;
+    std::vector<double> class_counts;
+  };
+  const auto matches = [&](const Rule& rule, std::size_t row,
+                           std::size_t keep) {
+    for (std::size_t k = 0; k < keep; ++k)
+      if (data.rows[row][rule.conditions[k].first] !=
+          rule.conditions[k].second)
+        return false;
+    return true;
+  };
+  const auto foil = [](double p, double n) { return std::log2(p / (p + n)); };
+  const auto classes = static_cast<std::size_t>(data.cardinality[label]);
+  const auto label_of = [&](std::size_t row) {
+    return data.rows[row][label];
+  };
+
+  std::vector<double> class_freq(classes, 0);
+  for (std::size_t i = 0; i < data.rows.size(); ++i)
+    class_freq[static_cast<std::size_t>(label_of(i))] += 1.0;
+  std::vector<int> order(classes);
+  for (std::size_t c = 0; c < classes; ++c) order[c] = static_cast<int>(c);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return class_freq[static_cast<std::size_t>(a)] <
+           class_freq[static_cast<std::size_t>(b)];
+  });
+
+  std::vector<std::size_t> pool(data.rows.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) pool[i] = i;
+  Rng rng(config.shuffle_seed);
+  std::vector<Rule> rules;
+  for (std::size_t ci = 0; ci + 1 < classes; ++ci) {
+    const int target = order[ci];
+    if (class_freq[static_cast<std::size_t>(target)] <= 0) continue;
+    for (std::size_t r = 0; r < config.max_rules_per_class; ++r) {
+      if (std::none_of(pool.begin(), pool.end(),
+                       [&](std::size_t i) { return label_of(i) == target; }))
+        break;
+      std::vector<std::size_t> shuffled = pool;
+      for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1],
+                  shuffled[static_cast<std::size_t>(rng.uniform_int(i))]);
+      const std::size_t grow_size = std::max<std::size_t>(
+          1, static_cast<std::size_t>(static_cast<double>(shuffled.size()) *
+                                      config.grow_fraction));
+      const std::vector<std::size_t> prune(shuffled.begin() + grow_size,
+                                           shuffled.end());
+      std::vector<std::size_t> covered(shuffled.begin(),
+                                       shuffled.begin() + grow_size);
+
+      Rule rule;
+      rule.target = target;
+      std::vector<bool> used(data.columns(), false);
+      while (true) {
+        double p = 0, n = 0;
+        for (const std::size_t i : covered)
+          (label_of(i) == target ? p : n) += 1.0;
+        if (n == 0 || p == 0) break;
+        const double base = foil(p, n);
+        double best_gain = 1e-9;
+        std::size_t best_column = 0;
+        int best_value = -1;
+        for (const std::size_t col : features) {
+          if (col == label || used[col]) continue;
+          for (int v = 0; v < data.cardinality[col]; ++v) {
+            double pos = 0, neg = 0;
+            for (const std::size_t i : covered)
+              if (data.rows[i][col] == v)
+                (label_of(i) == target ? pos : neg) += 1.0;
+            if (pos <= 0) continue;
+            const double gain = pos * (foil(pos, neg) - base);
+            if (gain > best_gain) {
+              best_gain = gain;
+              best_column = col;
+              best_value = v;
+            }
+          }
+        }
+        if (best_value < 0) break;
+        rule.conditions.emplace_back(best_column, best_value);
+        used[best_column] = true;
+        std::erase_if(covered, [&](std::size_t i) {
+          return data.rows[i][best_column] != best_value;
+        });
+      }
+      if (rule.conditions.empty()) break;
+
+      const auto prune_value = [&](std::size_t keep) {
+        double kp = 0, kn = 0;
+        for (const std::size_t i : prune)
+          if (matches(rule, i, keep)) (label_of(i) == target ? kp : kn) += 1.0;
+        return kp + kn == 0 ? -1.0 : (kp - kn) / (kp + kn);
+      };
+      std::size_t best_keep = rule.conditions.size();
+      double best_value = prune_value(best_keep);
+      for (std::size_t keep = best_keep; keep-- > 1;) {
+        const double value = prune_value(keep);
+        if (value > best_value) {
+          best_value = value;
+          best_keep = keep;
+        }
+      }
+      rule.conditions.resize(best_keep);
+
+      double pool_p = 0, pool_n = 0;
+      rule.class_counts.assign(classes, 0);
+      for (const std::size_t i : pool) {
+        if (!matches(rule, i, best_keep)) continue;
+        (label_of(i) == target ? pool_p : pool_n) += 1.0;
+        rule.class_counts[static_cast<std::size_t>(label_of(i))] += 1.0;
+      }
+      if (pool_p + pool_n == 0 ||
+          pool_p / (pool_p + pool_n) < config.min_prune_precision)
+        break;
+      std::erase_if(pool,
+                    [&](std::size_t i) { return matches(rule, i, best_keep); });
+      rules.push_back(std::move(rule));
+    }
+  }
+  std::vector<double> default_counts(classes, 0);
+  for (const std::size_t i : pool)
+    default_counts[static_cast<std::size_t>(label_of(i))] += 1.0;
+  if (std::all_of(default_counts.begin(), default_counts.end(),
+                  [](double c) { return c == 0; }))
+    default_counts = class_freq;
+
+  std::string state;
+  SerialWriter out(state);
+  out.pod(static_cast<std::int32_t>(classes));
+  out.doubles(default_counts);
+  out.size(rules.size());
+  for (const Rule& rule : rules) {
+    out.size(rule.conditions.size());
+    for (const auto& [column, value] : rule.conditions) {
+      out.size(column);
+      out.pod(static_cast<std::int32_t>(value));
+    }
+    out.pod(static_cast<std::int32_t>(rule.target));
+    out.doubles(rule.class_counts);
+  }
+  return state;
+}
+
+/// Random columns of cardinality 1-6 that share a per-row base value with
+/// probability 0.7, so rules grow several conditions and the covered set
+/// thins out. Column 0 has cardinality 1, column 1 holds one constant
+/// value, and the label (last column, cardinality 4) never takes value 3.
+Dataset random_ripper_dataset(std::size_t rows, std::uint64_t seed) {
+  constexpr std::size_t kColumns = 10;
+  Rng rng(seed);
+  Dataset data;
+  data.cardinality.push_back(1);
+  for (std::size_t c = 1; c + 1 < kColumns; ++c)
+    data.cardinality.push_back(1 + static_cast<int>(rng.uniform_int(6)));
+  data.cardinality.push_back(4);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const int base = static_cast<int>(rng.uniform_int(6));
+    std::vector<int> row(kColumns);
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const int card = c + 1 < kColumns ? data.cardinality[c] : 3;
+      row[c] = rng.chance(0.7) ? base % card
+                               : static_cast<int>(rng.uniform_int(
+                                     static_cast<std::uint64_t>(card)));
+    }
+    row[1] = data.cardinality[1] - 1;
+    data.rows.push_back(std::move(row));
+  }
+  return data;
+}
+
+// Row counts straddle word boundaries (1, 63, 64, 65) and reach 2000, where
+// the first grow steps run dense and the thinned-out later ones sparse. A
+// grow fraction of 1 leaves the prune set empty; the second feature list
+// includes the label column, which the fit must skip.
+TEST(RipperTest, BitsetFitMatchesCountingReference) {
+  std::size_t fits = 0, rules = 0;
+  for (const std::size_t rows : {1u, 63u, 64u, 65u, 300u, 2000u}) {
+    const Dataset data = random_ripper_dataset(rows, 100 + rows);
+    const std::size_t label = data.columns() - 1;
+    std::vector<std::size_t> features(label);
+    for (std::size_t c = 0; c < label; ++c) features[c] = c;
+    std::vector<std::size_t> with_label = features;
+    with_label.insert(with_label.begin() + 4, label);
+    const DatasetView view(data);
+    for (const std::uint64_t seed : {17u, 3u, 2024u}) {
+      for (const double grow_fraction : {2.0 / 3.0, 0.5, 1.0}) {
+        for (const auto* inputs : {&features, &with_label}) {
+          RipperConfig config;
+          config.shuffle_seed = seed;
+          config.grow_fraction = grow_fraction;
+          const std::string where = "rows " + std::to_string(rows) +
+                                    " seed " + std::to_string(seed) +
+                                    " grow " + std::to_string(grow_fraction);
+          Ripper fit(config);
+          fit.fit(view, *inputs, label);
+          Ripper reference;
+          const std::string state =
+              reference_ripper_state(data, *inputs, label, config);
+          SerialReader reader(state);
+          ASSERT_TRUE(reference.load_state(reader, data.columns()).ok());
+          ASSERT_EQ(fit.describe({}), reference.describe({})) << where;
+          // The saved state carries every rule's class counts and the
+          // default counts as raw doubles.
+          std::string saved;
+          SerialWriter writer(saved);
+          ASSERT_TRUE(fit.save_state(writer).ok());
+          EXPECT_EQ(saved, state) << where;
+          for (std::size_t r = 0; r < rows; ++r)
+            ASSERT_EQ(dist_of(fit, data.rows[r]),
+                      dist_of(reference, data.rows[r]))
+                << where << " row " << r;
+          ++fits;
+          rules += fit.rule_count();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(fits, 6u * 3u * 3u * 2u);
+  EXPECT_GT(rules, 200u);
 }
 
 TEST(LinRegTest, RecoversLinearFunction) {

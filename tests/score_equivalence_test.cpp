@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -88,6 +89,57 @@ TEST(DatasetViewTest, ColumnsMirrorRowMajorSource) {
   EXPECT_EQ(view.max_cardinality(), max_card);
 }
 
+// Row bitsets at row counts either side of a word boundary, with a
+// cardinality-1 column and a value (4) that no row of column 1 holds.
+TEST(DatasetViewTest, RowBitsMirrorColumns) {
+  for (const std::size_t rows : {1u, 63u, 64u, 65u, 130u}) {
+    Dataset data = correlated_dataset(rows, 6, 40 + rows);
+    data.cardinality[0] = 1;
+    for (std::vector<int>& row : data.rows) {
+      row[0] = 0;
+      row[1] %= 4;
+    }
+    const DatasetView view(data);
+    ASSERT_EQ(view.words(), (rows + 63) / 64);
+    for (std::size_t c = 0; c < view.columns(); ++c) {
+      std::vector<std::uint64_t> seen(view.words(), 0);
+      for (int v = 0; v < view.cardinality(c); ++v) {
+        const std::span<const std::uint64_t> bits = view.row_bits(c, v);
+        ASSERT_EQ(bits.size(), view.words());
+        for (std::size_t r = 0; r < rows; ++r) {
+          const bool set = ((bits[r / 64] >> (r % 64)) & 1) != 0;
+          EXPECT_EQ(set, view.column(c)[r] == v)
+              << "rows " << rows << " (" << r << "," << c << ") value " << v;
+        }
+        // Bits at or past rows() are zero.
+        if (rows % 64 != 0) {
+          EXPECT_EQ(bits.back() >> (rows % 64), 0u) << "rows " << rows;
+        }
+        // Each row lies in exactly one of its column's bitsets.
+        for (std::size_t w = 0; w < view.words(); ++w) {
+          EXPECT_EQ(seen[w] & bits[w], 0u) << "rows " << rows << " col " << c;
+          seen[w] |= bits[w];
+        }
+      }
+      for (std::size_t w = 0; w < view.words(); ++w) {
+        const std::size_t in_word = std::min<std::size_t>(64, rows - 64 * w);
+        EXPECT_EQ(std::popcount(seen[w]), static_cast<int>(in_word))
+            << "rows " << rows << " col " << c << " word " << w;
+      }
+    }
+  }
+}
+
+// The range check runs in every build type: the row bitsets and C4.5's
+// fused value * labels + label codes index by the value.
+TEST(DatasetViewTest, OutOfRangeValueAborts) {
+  Dataset data = correlated_dataset(8, 4, 3);
+  data.rows[5][2] = 5;  // cardinality 5
+  EXPECT_DEATH(DatasetView{data}, "out of cardinality range");
+  data.rows[5][2] = -1;
+  EXPECT_DEATH(DatasetView{data}, "out of cardinality range");
+}
+
 // -- Scoring equivalence (serial vs block-parallel) ------------------------
 
 class FamilyParamTest : public ::testing::TestWithParam<int> {};
@@ -119,6 +171,28 @@ TEST_P(FamilyParamTest, ScoreAllBitIdenticalAcrossThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyParamTest,
                          ::testing::Values(0, 1, 2));
+
+// RIPPER sub-model fits share one DatasetView and its row bitsets read-only;
+// fitting them on 2 and 8 pool threads must give the serial fit's rules.
+TEST(RipperTest, ParallelTrainMatchesSerial) {
+  const Dataset data = correlated_dataset(700, 12, 37);
+  const auto rules_of = [&](std::size_t threads) {
+    CrossFeatureModel model;
+    EXPECT_TRUE(
+        model.train(data, iota_columns(12), factory_for(1), threads).ok());
+    std::vector<std::string> rules;
+    for (std::size_t i = 0; i < model.submodel_count(); ++i)
+      rules.push_back(model.submodel(i).describe({}));
+    return rules;
+  };
+  PoolGuard guard;
+  const std::vector<std::string> serial = rules_of(1);
+  ASSERT_EQ(serial.size(), 12u);
+  for (const std::size_t pool_size : {2u, 8u}) {
+    resize_shared_pool(pool_size);
+    EXPECT_EQ(rules_of(0), serial) << "pool size " << pool_size;
+  }
+}
 
 // -- Block kernels vs one-row scoring ---------------------------------------
 
