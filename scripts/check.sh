@@ -10,9 +10,11 @@
 # scenario-file, sharded and supervised xfa_bench smokes in the first two
 # passes. After the release pass it builds and self-tests the perf/
 # benchmark driver, which compiles src/ on its own, so an API change that
-# breaks it fails here. After the sanitizer pass it re-runs the chaos /
-# corruption / checkpoint-store / crash-resume robustness suites with the
-# cache forced off (XFA_NO_CACHE) so every fault-injection,
+# breaks it fails here, and checks one full-size run of every workload
+# against perf/golden.txt, so a change that moves output bytes fails too.
+# After the sanitizer pass it re-runs the chaos / corruption /
+# checkpoint-store / crash-resume robustness suites with the cache forced
+# off (XFA_NO_CACHE) so every fault-injection,
 # artifact-parsing and kill/resume path is actually exercised under
 # ASan+UBSan. CI runs exactly this script.
 #
@@ -88,6 +90,18 @@ run_pass "release" build-check-release -DCMAKE_BUILD_TYPE=Release
 # counts and traced vs plain runs, and validates every JSON it emits.
 echo "=== perf: benchmark driver selftest ==="
 bash perf/run.sh selftest
+
+# Golden-digest gate: the selftest's --quick units have no entry in
+# perf/golden.txt, so a change that moves any simulated or scored byte would
+# pass it. One full-size run of each workload at seed 0 (two units, a few
+# seconds each on the build above) is checked against the golden digest;
+# a mismatch makes xfa_perf report correct: false and exit 1.
+echo "=== perf: golden digests of every workload (seed 0, full size) ==="
+for workload in cold-aodv-udp cold-dsr-tcp detect-paper scale-1k; do
+  bash perf/run.sh --workload "${workload}" --seed 0 --seconds 0 \
+    > "build-perf/golden-${workload}.txt"
+  echo "perf golden: ${workload} seed 0 matches perf/golden.txt"
+done
 
 run_pass "asan+ubsan" build-check-sanitize \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,8 +1,7 @@
 #include "attacks/blackhole.h"
 
 #include "net/channel.h"
-#include "routing/aodv/aodv.h"
-#include "routing/dsr/dsr.h"
+#include "routing/route_events.h"
 
 namespace xfa {
 
@@ -29,17 +28,12 @@ void BlackholeAttack::advert_round() {
 
   // Round-robin over all other nodes so "all sources are covered" within a
   // few advertisement rounds.
-  auto* aodv = dynamic_cast<Aodv*>(&node_.routing());
-  auto* dsr = dynamic_cast<Dsr*>(&node_.routing());
+  auto* agent = dynamic_cast<OnDemandAgent*>(&node_.routing());
   for (std::size_t i = 0; i < config_.victims_per_round; ++i) {
     const NodeId victim = next_victim_;
     next_victim_ = (next_victim_ + 1) % node_count;
     if (victim == node_.id()) continue;
-    if (aodv != nullptr) {
-      aodv->inject_bogus_route_advert(victim);
-    } else if (dsr != nullptr) {
-      dsr->inject_bogus_route_advert(victim);
-    }
+    if (agent != nullptr) agent->inject_bogus_route_advert(victim);
     ++adverts_sent_;
   }
 }

@@ -122,9 +122,9 @@ void Ripper::fit(const DatasetView& view,
 
   // Scratch reused across every grow/prune iteration: the shuffled pool,
   // the grow rows the rule covers (and their positives), the prune rows
-  // (narrowed condition by condition), the rule's cover in the pool, one
-  // candidate's pos/neg counters, and the sparse step's row lists.
-  std::vector<std::size_t> shuffled, pos_rows, neg_rows;
+  // (narrowed condition by condition), the rule's cover in the pool, and
+  // one candidate's pos/neg counters.
+  std::vector<std::size_t> shuffled;
   std::vector<Word> covered(words), covered_pos(words), pruned(words),
       pool_cover(words);
   std::vector<double> pn(2 * static_cast<std::size_t>(view.max_cardinality()));
@@ -184,20 +184,6 @@ void Ripper::fit(const DatasetView& view,
         while (covered[hi - 1] == 0) --hi;
         const double base = foil_value(p, n, ratio_log2, log2);
 
-        // Sparse step: a dense candidate costs two popcounts per word of
-        // the span for each value, a sparse one a gather per covered row.
-        // When fewer than two rows per word remain, the covered rows are
-        // listed once and each candidate's values gathered row by row.
-        const bool sparse = p + n < 2.0 * static_cast<double>(hi - lo);
-        if (sparse) {
-          pos_rows.clear();
-          neg_rows.clear();
-          for_each_row(covered, lo, hi, [&](std::size_t i) {
-            const Word positive = (covered_pos[i / 64] >> (i % 64)) & 1;
-            (positive != 0 ? pos_rows : neg_rows).push_back(i);
-          });
-        }
-
         // pn[2v+1] counts the candidate's covered positives at value v,
         // pn[2v] its negatives.
         double best_gain = 1e-9;
@@ -207,21 +193,12 @@ void Ripper::fit(const DatasetView& view,
         for (const std::size_t col : feature_columns) {
           if (col == label_column || column_used[col]) continue;
           const auto values = static_cast<std::size_t>(view.cardinality(col));
-          if (sparse) {
-            std::fill_n(pn.begin(), 2 * values, 0.0);
-            const std::span<const std::int32_t> data = view.column(col);
-            for (const std::size_t i : pos_rows)
-              pn[2 * static_cast<std::size_t>(data[i]) + 1] += 1.0;
-            for (const std::size_t i : neg_rows)
-              pn[2 * static_cast<std::size_t>(data[i])] += 1.0;
-          } else {
-            for (std::size_t v = 0; v < values; ++v) {
-              const BitCounts counts = count_masked(
-                  covered.data(), covered_pos.data(),
-                  view.row_bits(col, static_cast<int>(v)).data(), lo, hi);
-              pn[2 * v + 1] = static_cast<double>(counts.pos);
-              pn[2 * v] = static_cast<double>(counts.all - counts.pos);
-            }
+          for (std::size_t v = 0; v < values; ++v) {
+            const BitCounts counts = count_masked(
+                covered.data(), covered_pos.data(),
+                view.row_bits(col, static_cast<int>(v)).data(), lo, hi);
+            pn[2 * v + 1] = static_cast<double>(counts.pos);
+            pn[2 * v] = static_cast<double>(counts.all - counts.pos);
           }
           for (std::size_t v = 0; v < values; ++v) {
             const double pos = pn[2 * v + 1];

@@ -7,30 +7,28 @@
 #include "common/check.h"
 
 namespace xfa {
+namespace {
 
-Aodv::Aodv(Node& node, const AodvConfig& config)
-    : node_(node), config_(config), rng_(node.sim().fork_rng()) {}
+// AODV-only timing (see DESIGN.md, "Routing agents"); the constants shared
+// with DSR are in routing/route_events.h.
+constexpr SimTime kActiveRouteTimeout = 10.0;  // route lifetime added on use
+constexpr SimTime kHelloInterval = 1.0;
+constexpr double kAllowedHelloLoss = 2.5;  // missed HELLOs before "dead"
+
+}  // namespace
 
 void Aodv::start() {
   hello_timer_ = std::make_unique<PeriodicTimer>(
-      node_.sim(), config_.hello_interval, [this] {
-        Packet hello;
-        hello.kind = PacketKind::Hello;
-        hello.src = node_.id();
-        hello.dst = kBroadcast;
-        hello.ttl = 1;
-        hello.size_bytes = kControlPacketBytes;
-        hello.header = AodvHelloHeader{++hello_seqno_};
-        node_.log_packet(AuditPacketType::Hello, FlowDirection::Sent);
-        ++stats_.control_originated;
-        node_.channel().transmit(node_.id(), std::move(hello), kBroadcast);
+      node_.sim(), kHelloInterval, [this] {
+        originate(PacketKind::Hello, kBroadcast, 1,
+                  AodvHelloHeader{++hello_seqno_}, kBroadcast);
       });
   // Stagger beacons across nodes to avoid synchronized bursts.
-  hello_timer_->start(rng_.uniform(0, config_.hello_interval));
+  hello_timer_->start(rng_.uniform(0, kHelloInterval));
 
   purge_timer_ = std::make_unique<PeriodicTimer>(
-      node_.sim(), config_.purge_interval, [this] { purge_tick(); });
-  purge_timer_->start(rng_.uniform(0, config_.purge_interval));
+      node_.sim(), kPurgeInterval, [this] { purge_tick(); });
+  purge_timer_->start(rng_.uniform(0, kPurgeInterval));
 }
 
 void Aodv::log_route_update(RouteUpdate update, bool learned_passively) {
@@ -55,24 +53,11 @@ void Aodv::send_data(Packet&& pkt) {
     forward_data(std::move(pkt), *route);
     return;
   }
-  const NodeId dst = pkt.dst;
-  buffer_.push(std::move(pkt));
-  if (!pending_discovery_.contains(dst))
-    start_discovery(dst, config_.max_rreq_retries, next_attempt_id_++);
+  buffer_and_discover(std::move(pkt));
 }
 
-void Aodv::start_discovery(NodeId dst, int retries_left,
-                           std::uint32_t attempt_id) {
-  pending_discovery_[dst] = attempt_id;
-  ++stats_.discoveries_started;
+void Aodv::send_route_request(NodeId dst) {
   ++my_seqno_;
-
-  Packet rreq;
-  rreq.kind = PacketKind::RouteRequest;
-  rreq.src = node_.id();
-  rreq.dst = kBroadcast;
-  rreq.ttl = config_.net_diameter_ttl;
-  rreq.size_bytes = kControlPacketBytes;
   AodvRreqHeader header;
   header.rreq_id = next_rreq_id_++;
   header.origin = node_.id();
@@ -82,33 +67,10 @@ void Aodv::start_discovery(NodeId dst, int retries_left,
   header.target_seqno_known = stale != nullptr && stale->seqno_valid;
   header.target_seqno = header.target_seqno_known ? stale->seqno : 0;
   header.hop_count = 0;
-  rreq.header = header;
   // Suppress handling our own flood when it is relayed back to us.
   rreq_seen_.seen_before(node_.id(), header.rreq_id, node_.sim().now());
-
-  node_.log_packet(AuditPacketType::RouteRequest, FlowDirection::Sent);
-  ++stats_.control_originated;
-  node_.channel().transmit(node_.id(), std::move(rreq), kBroadcast);
-
-  const SimTime timeout =
-      config_.rreq_retry_timeout *
-      static_cast<double>(1 << (config_.max_rreq_retries - retries_left));
-  node_.sim().after(timeout, [this, dst, retries_left, attempt_id] {
-    const auto it = pending_discovery_.find(dst);
-    if (it == pending_discovery_.end() || it->second != attempt_id)
-      return;  // answered or superseded
-    if (retries_left > 0) {
-      start_discovery(dst, retries_left - 1, attempt_id);
-      return;
-    }
-    // Give up: drop everything buffered for this destination.
-    pending_discovery_.erase(it);
-    ++stats_.discoveries_failed;
-    for ([[maybe_unused]] Packet& dropped : buffer_.take(dst)) {
-      ++stats_.data_dropped_no_route;
-      node_.log_packet(AuditPacketType::RouteAll, FlowDirection::Dropped);
-    }
-  });
+  originate(PacketKind::RouteRequest, kBroadcast, kNetDiameterTtl, header,
+            kBroadcast);
 }
 
 void Aodv::receive(PacketPtr pkt, NodeId from) {
@@ -144,7 +106,7 @@ void Aodv::handle_rreq(const Packet& pkt, NodeId from) {
   if (header.origin != node_.id()) {
     const RouteUpdate update = table_.update(
         header.origin, from, static_cast<std::uint16_t>(header.hop_count + 1),
-        header.origin_seqno, true, now + config_.active_route_timeout, now);
+        header.origin_seqno, true, now + kActiveRouteTimeout, now);
     log_route_update(update, /*learned_passively=*/true);
   }
   note_neighbor(from, now);
@@ -179,13 +141,7 @@ void Aodv::handle_rreq(const Packet& pkt, NodeId from) {
   Packet relay = pkt;
   --relay.ttl;
   ++std::get<AodvRreqHeader>(relay.header).hop_count;
-  node_.log_packet(AuditPacketType::RouteRequest, FlowDirection::Forwarded);
-  ++stats_.control_forwarded;
-  node_.sim().after(rng_.uniform(0, config_.forward_jitter_s),
-                    [this, relay = std::move(relay)]() mutable {
-                      node_.channel().transmit(node_.id(), std::move(relay),
-                                               kBroadcast);
-                    });
+  relay_flood(std::move(relay));
 }
 
 void Aodv::send_rrep(const AodvRreqHeader& rreq, NodeId reply_to,
@@ -202,19 +158,10 @@ void Aodv::send_rrep(const AodvRreqHeader& rreq, NodeId reply_to,
   } else {
     reply.target_seqno = my_seqno_;
     reply.hop_count = 0;
-    reply.lifetime = config_.active_route_timeout;
+    reply.lifetime = kActiveRouteTimeout;
   }
-
-  Packet pkt;
-  pkt.kind = PacketKind::RouteReply;
-  pkt.src = node_.id();
-  pkt.dst = rreq.origin;
-  pkt.ttl = config_.net_diameter_ttl;
-  pkt.size_bytes = kControlPacketBytes;
-  pkt.header = reply;
-  node_.log_packet(AuditPacketType::RouteReply, FlowDirection::Sent);
-  ++stats_.control_originated;
-  node_.channel().transmit(node_.id(), std::move(pkt), reply_to);
+  originate(PacketKind::RouteReply, rreq.origin, kNetDiameterTtl, reply,
+            reply_to);
 }
 
 void Aodv::handle_rrep(const Packet& pkt, NodeId from) {
@@ -229,10 +176,7 @@ void Aodv::handle_rrep(const Packet& pkt, NodeId from) {
   log_route_update(update, /*learned_passively=*/false);
 
   if (header.origin == node_.id()) {
-    // Discovery complete.
-    if (pending_discovery_.erase(header.target) > 0)
-      ++stats_.discoveries_succeeded;
-    flush_buffer(header.target);
+    complete_discovery(header.target);
     return;
   }
 
@@ -283,8 +227,7 @@ void Aodv::handle_hello(const Packet& pkt, NodeId from) {
   const SimTime now = node_.sim().now();
   const auto& header = std::get<AodvHelloHeader>(pkt.header);
   note_neighbor(from, now);
-  const SimTime lifetime =
-      config_.allowed_hello_loss * config_.hello_interval;
+  const SimTime lifetime = kAllowedHelloLoss * kHelloInterval;
   const RouteUpdate update =
       table_.update(from, from, 1, header.seqno, true, now + lifetime, now);
   log_route_update(update, /*learned_passively=*/true);
@@ -305,16 +248,14 @@ void Aodv::handle_data(const Packet& pkt, NodeId from) {
   }
   const AodvRouteEntry* route = table_.lookup(pkt.dst, now);
   if (route == nullptr) {
-    ++stats_.data_dropped_no_route;
-    node_.log_packet(AuditPacketType::RouteAll, FlowDirection::Dropped);
+    drop_no_route();
     const AodvRouteEntry* stale = table_.lookup_any(pkt.dst);
     send_rerr({{pkt.dst, stale != nullptr ? stale->seqno : 0}});
     return;
   }
   if (pkt.ttl <= 1) {
     // Routing loop or over-long path: discard.
-    ++stats_.data_dropped_no_route;
-    node_.log_packet(AuditPacketType::RouteAll, FlowDirection::Dropped);
+    drop_no_route();
     return;
   }
   Packet relay = pkt;  // copy-on-write off the shared broadcast handle
@@ -326,23 +267,15 @@ void Aodv::handle_data(const Packet& pkt, NodeId from) {
 
 void Aodv::forward_data(Packet&& pkt, const AodvRouteEntry& route) {
   table_.refresh_lifetime(route.dst,
-                          node_.sim().now() + config_.active_route_timeout);
+                          node_.sim().now() + kActiveRouteTimeout);
   node_.channel().transmit(node_.id(), std::move(pkt), route.next_hop);
 }
 
 void Aodv::send_rerr(std::vector<std::pair<NodeId, SeqNo>> unreachable) {
   if (unreachable.empty()) return;
-  Packet pkt;
-  pkt.kind = PacketKind::RouteError;
-  pkt.src = node_.id();
-  pkt.dst = kBroadcast;
-  pkt.ttl = 1;
-  pkt.size_bytes = kControlPacketBytes;
-  pkt.header = AodvRerrHeader{std::move(unreachable)};
-  node_.log_packet(AuditPacketType::RouteError, FlowDirection::Sent);
-  ++stats_.control_originated;
   ++stats_.rerr_sent;
-  node_.channel().transmit(node_.id(), std::move(pkt), kBroadcast);
+  originate(PacketKind::RouteError, kBroadcast, 1,
+            AodvRerrHeader{std::move(unreachable)}, kBroadcast);
 }
 
 void Aodv::note_neighbor(NodeId from, SimTime now) {
@@ -362,43 +295,29 @@ void Aodv::link_failure(const Packet& pkt, NodeId to) {
   if (static_cast<std::size_t>(to) < neighbor_heard_at_.size())
     neighbor_heard_at_[static_cast<std::size_t>(to)] = -1.0;
   auto broken = table_.invalidate_via(to, now);
-  for (std::size_t i = 0; i < broken.size(); ++i)
-    node_.log_route_event(RouteEventKind::Remove);
+  log_removals(broken.size());
 
   if (pkt.kind == PacketKind::Data) {
     // Attempt repair: re-discover the destination and retry the packet.
     node_.log_route_event(RouteEventKind::Repair);
-    Packet retry = pkt;
-    const NodeId dst = retry.dst;
-    buffer_.push(std::move(retry));
-    if (!pending_discovery_.contains(dst))
-      start_discovery(dst, config_.max_rreq_retries, next_attempt_id_++);
+    buffer_and_discover(Packet(pkt));
   }
   send_rerr(std::move(broken));
 }
 
-void Aodv::flush_buffer(NodeId dst) {
-  const SimTime now = node_.sim().now();
-  for (Packet& pkt : buffer_.take(dst)) {
-    const AodvRouteEntry* route = table_.lookup(dst, now);
-    if (route == nullptr) {
-      ++stats_.data_dropped_no_route;
-      node_.log_packet(AuditPacketType::RouteAll, FlowDirection::Dropped);
-      continue;
-    }
-    forward_data(std::move(pkt), *route);
-  }
+bool Aodv::send_along_route(Packet&& pkt) {
+  const AodvRouteEntry* route = table_.lookup(pkt.dst, node_.sim().now());
+  if (route == nullptr) return false;
+  forward_data(std::move(pkt), *route);
+  return true;
 }
 
 void Aodv::purge_tick() {
   const SimTime now = node_.sim().now();
-  const std::size_t purged = table_.purge_expired(now);
-  for (std::size_t i = 0; i < purged; ++i)
-    node_.log_route_event(RouteEventKind::Remove);
+  log_removals(table_.purge_expired(now));
 
   // Expire silent neighbors (missing HELLOs) and the routes through them.
-  const SimTime deadline =
-      now - config_.allowed_hello_loss * config_.hello_interval;
+  const SimTime deadline = now - kAllowedHelloLoss * kHelloInterval;
   for (auto it = neighbor_last_heard_.begin();
        it != neighbor_last_heard_.end();) {
     // Authoritative timestamps live in the dense array (see note_neighbor);
@@ -406,8 +325,7 @@ void Aodv::purge_tick() {
     // order.
     if (neighbor_heard_at_[static_cast<std::size_t>(it->first)] < deadline) {
       auto broken = table_.invalidate_via(it->first, now);
-      for (std::size_t i = 0; i < broken.size(); ++i)
-        node_.log_route_event(RouteEventKind::Remove);
+      log_removals(broken.size());
       send_rerr(std::move(broken));
       neighbor_heard_at_[static_cast<std::size_t>(it->first)] = -1.0;
       it = neighbor_last_heard_.erase(it);
@@ -421,12 +339,6 @@ void Aodv::inject_bogus_route_advert(NodeId victim) {
   // Paper §4.1: forge a RREQ whose origin (and target) is the victim, with
   // the maximum allowed sequence number and hop count 0, so every receiver
   // installs "victim, one hop, via attacker" and prefers it forever.
-  Packet pkt;
-  pkt.kind = PacketKind::RouteRequest;
-  pkt.src = node_.id();
-  pkt.dst = kBroadcast;
-  pkt.ttl = config_.net_diameter_ttl;
-  pkt.size_bytes = kControlPacketBytes;
   AodvRreqHeader header;
   // High-range id: must not collide with the victim's genuine RREQ ids in
   // the network's duplicate-suppression caches.
@@ -436,10 +348,8 @@ void Aodv::inject_bogus_route_advert(NodeId victim) {
   header.target = victim;
   header.target_seqno_known = false;
   header.hop_count = 0;
-  pkt.header = header;
-  node_.log_packet(AuditPacketType::RouteRequest, FlowDirection::Sent);
-  ++stats_.control_originated;
-  node_.channel().transmit(node_.id(), std::move(pkt), kBroadcast);
+  originate(PacketKind::RouteRequest, kBroadcast, kNetDiameterTtl, header,
+            kBroadcast);
 }
 
 }  // namespace xfa

@@ -16,24 +16,12 @@
 #include "net/node.h"
 #include "routing/aodv/route_table.h"
 #include "routing/route_events.h"
-#include "sim/rng.h"
 
 namespace xfa {
 
-struct AodvConfig {
-  SimTime active_route_timeout = 10.0;  // route lifetime extension on use
-  SimTime hello_interval = 1.0;
-  double allowed_hello_loss = 2.5;      // neighbor dead after this many misses
-  SimTime rreq_retry_timeout = 1.0;     // doubled per retry
-  int max_rreq_retries = 2;
-  std::uint16_t net_diameter_ttl = 32;
-  SimTime purge_interval = 1.0;
-  double forward_jitter_s = 0.002;      // de-synchronizes flood rebroadcasts
-};
-
-class Aodv final : public RoutingProtocol {
+class Aodv final : public OnDemandAgent {
  public:
-  Aodv(Node& node, const AodvConfig& config = {});
+  explicit Aodv(Node& node) : OnDemandAgent(node) {}
 
   void start() override;
   void send_data(Packet&& pkt) override;
@@ -44,15 +32,14 @@ class Aodv final : public RoutingProtocol {
   const char* name() const override { return "AODV"; }
 
   const AodvRouteTable& table() const { return table_; }
-  const RoutingStats& stats() const override { return stats_; }
 
-  /// Attack surface used by the black hole script: broadcasts a forged RREQ
-  /// that makes every overhearing neighbor install "victim is one hop away,
-  /// via me" with the maximum sequence number.
-  void inject_bogus_route_advert(NodeId victim);
+  /// Broadcasts a forged RREQ that makes every overhearing neighbor install
+  /// "victim is one hop away, via me" with the maximum sequence number.
+  void inject_bogus_route_advert(NodeId victim) override;
 
  private:
-  void start_discovery(NodeId dst, int retries_left, std::uint32_t attempt_id);
+  void send_route_request(NodeId dst) override;
+  bool send_along_route(Packet&& pkt) override;
   // Handlers read the shared (zero-copy fan-out) packet through a const ref
   // and deep-copy only on the relay paths that mutate ttl / hop counts.
   void handle_rreq(const Packet& pkt, NodeId from);
@@ -63,27 +50,16 @@ class Aodv final : public RoutingProtocol {
   void send_rrep(const AodvRreqHeader& rreq, NodeId reply_to, bool from_cache,
                  SimTime now);
   void send_rerr(std::vector<std::pair<NodeId, SeqNo>> unreachable);
-  void flush_buffer(NodeId dst);
   void forward_data(Packet&& pkt, const AodvRouteEntry& route);
   void purge_tick();
   void log_route_update(RouteUpdate update, bool learned_passively);
   void note_neighbor(NodeId from, SimTime now);
 
-  Node& node_;
-  AodvConfig config_;
-  Rng rng_;
   AodvRouteTable table_;
-  SendBuffer buffer_;
-  FloodIdCache rreq_seen_;
-  RoutingStats stats_;
 
   SeqNo my_seqno_ = 1;
   std::uint32_t next_rreq_id_ = 1;
   SeqNo hello_seqno_ = 0;
-  // Destinations with a discovery in flight -> current attempt id (guards
-  // stale retry timers).
-  std::unordered_map<NodeId, std::uint32_t> pending_discovery_;
-  std::uint32_t next_attempt_id_ = 1;
   // Neighbor liveness is split across two structures for a reason that is
   // purely about byte-identity: purge_tick() iterates neighbors in this
   // hash map's order and sends one RERR per dead neighbor, and each RERR

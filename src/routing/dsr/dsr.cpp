@@ -9,22 +9,24 @@
 namespace xfa {
 namespace {
 
+// Route cache sizing (see DESIGN.md, "Routing agents"); the constants
+// shared with AODV are in routing/route_events.h.
+constexpr std::size_t kMaxPathsPerDst = 3;
+constexpr SimTime kPathLifetime = 60.0;
+
 bool contains(std::span<const NodeId> route, NodeId node) {
   return std::ranges::find(route, node) != route.end();
 }
 
 }  // namespace
 
-Dsr::Dsr(Node& node, const DsrConfig& config)
-    : node_(node),
-      config_(config),
-      rng_(node.sim().fork_rng()),
-      cache_(config.max_paths_per_dst, config.path_lifetime) {}
+Dsr::Dsr(Node& node)
+    : OnDemandAgent(node), cache_(kMaxPathsPerDst, kPathLifetime) {}
 
 void Dsr::start() {
   purge_timer_ = std::make_unique<PeriodicTimer>(
-      node_.sim(), config_.purge_interval, [this] { purge_tick(); });
-  purge_timer_->start(rng_.uniform(0, config_.purge_interval));
+      node_.sim(), kPurgeInterval, [this] { purge_tick(); });
+  purge_timer_->start(rng_.uniform(0, kPurgeInterval));
 }
 
 double Dsr::average_route_length() const {
@@ -66,7 +68,7 @@ std::span<const NodeId> Dsr::reversed(std::span<const NodeId> route) {
   return reversed_;
 }
 
-bool Dsr::source_route_and_send(Packet&& pkt) {
+bool Dsr::send_along_route(Packet&& pkt) {
   const SimTime now = node_.sim().now();
   const DsrCachePath* path = cache_.best_path(pkt.dst, now);
   if (path == nullptr) return false;
@@ -85,55 +87,21 @@ void Dsr::send_data(Packet&& pkt) {
   const SimTime now = node_.sim().now();
   if (cache_.best_path(pkt.dst, now) != nullptr) {
     node_.log_route_event(RouteEventKind::Find);
-    source_route_and_send(std::move(pkt));
+    send_along_route(std::move(pkt));
     return;
   }
-  const NodeId dst = pkt.dst;
-  buffer_.push(std::move(pkt));
-  if (!pending_discovery_.contains(dst))
-    start_discovery(dst, config_.max_rreq_retries, next_attempt_id_++);
+  buffer_and_discover(std::move(pkt));
 }
 
-void Dsr::start_discovery(NodeId dst, int retries_left,
-                          std::uint32_t attempt_id) {
-  pending_discovery_[dst] = attempt_id;
-  ++stats_.discoveries_started;
-
-  Packet rreq;
-  rreq.kind = PacketKind::RouteRequest;
-  rreq.src = node_.id();
-  rreq.dst = kBroadcast;
-  rreq.ttl = config_.net_diameter_ttl;
-  rreq.size_bytes = kControlPacketBytes;
+void Dsr::send_route_request(NodeId dst) {
   DsrRreqHeader header;
   header.request_id = next_request_id_++;
   header.origin = node_.id();
   header.target = dst;
   header.route_so_far = {node_.id()};
-  rreq.header = header;
   rreq_seen_.seen_before(node_.id(), header.request_id, node_.sim().now());
-
-  node_.log_packet(AuditPacketType::RouteRequest, FlowDirection::Sent);
-  ++stats_.control_originated;
-  node_.channel().transmit(node_.id(), std::move(rreq), kBroadcast);
-
-  const SimTime timeout =
-      config_.rreq_retry_timeout *
-      static_cast<double>(1 << (config_.max_rreq_retries - retries_left));
-  node_.sim().after(timeout, [this, dst, retries_left, attempt_id] {
-    const auto it = pending_discovery_.find(dst);
-    if (it == pending_discovery_.end() || it->second != attempt_id) return;
-    if (retries_left > 0) {
-      start_discovery(dst, retries_left - 1, attempt_id);
-      return;
-    }
-    pending_discovery_.erase(it);
-    ++stats_.discoveries_failed;
-    for ([[maybe_unused]] Packet& dropped : buffer_.take(dst)) {
-      ++stats_.data_dropped_no_route;
-      node_.log_packet(AuditPacketType::RouteAll, FlowDirection::Dropped);
-    }
-  });
+  originate(PacketKind::RouteRequest, kBroadcast, kNetDiameterTtl,
+            std::move(header), kBroadcast);
 }
 
 void Dsr::receive(PacketPtr pkt, NodeId from) {
@@ -186,57 +154,37 @@ void Dsr::handle_rreq(const Packet& pkt, NodeId from) {
     reply.route = full;
     reply.travel.assign(full.rbegin(), full.rend());
     reply.travel_cursor = 1;  // index of the node about to hold the reply
-
-    Packet out;
-    out.kind = PacketKind::RouteReply;
-    out.src = node_.id();
-    out.dst = header.origin;
-    out.ttl = config_.net_diameter_ttl;
-    out.size_bytes = kControlPacketBytes;
-    const NodeId next = reply.travel.size() > 1 ? reply.travel[1] : kInvalidNode;
-    out.header = std::move(reply);
-    node_.log_packet(AuditPacketType::RouteReply, FlowDirection::Sent);
-    ++stats_.control_originated;
-    if (next != kInvalidNode)
-      node_.channel().transmit(node_.id(), std::move(out), next);
+    // route_so_far starts with the origin, so the reply has a next hop.
+    const NodeId next = reply.travel[1];
+    originate(PacketKind::RouteReply, header.origin, kNetDiameterTtl,
+              std::move(reply), next);
     return;
   }
 
-  if (config_.intermediate_cache_replies) {
-    if (const DsrCachePath* cached = cache_.best_path(header.target, now)) {
-      // Splice request path + our cached path, provided it stays loop-free.
-      bool loop_free = !contains(cached->hops, header.origin);
-      for (const NodeId hop : header.route_so_far)
-        if (contains(cached->hops, hop)) loop_free = false;
-      if (loop_free) {
-        node_.log_route_event(RouteEventKind::Find);
-        std::vector<NodeId> full = header.route_so_far;
-        full.push_back(node_.id());
-        full.insert(full.end(), cached->hops.begin(), cached->hops.end());
-        DsrRrepHeader reply;
-        reply.origin = header.origin;
-        reply.target = header.target;
-        reply.route = full;
-        reply.freshness = cached->freshness;
-        // Travel back along the request path only (we are its last hop).
-        reply.travel = {node_.id()};
-        reply.travel.insert(reply.travel.end(), header.route_so_far.rbegin(),
-                            header.route_so_far.rend());
-        reply.travel_cursor = 1;
-
-        Packet out;
-        out.kind = PacketKind::RouteReply;
-        out.src = node_.id();
-        out.dst = header.origin;
-        out.ttl = config_.net_diameter_ttl;
-        out.size_bytes = kControlPacketBytes;
-        const NodeId next = reply.travel[1];
-        out.header = std::move(reply);
-        node_.log_packet(AuditPacketType::RouteReply, FlowDirection::Sent);
-        ++stats_.control_originated;
-        node_.channel().transmit(node_.id(), std::move(out), next);
-        return;
-      }
+  if (const DsrCachePath* cached = cache_.best_path(header.target, now)) {
+    // Splice request path + our cached path, provided it stays loop-free.
+    bool loop_free = !contains(cached->hops, header.origin);
+    for (const NodeId hop : header.route_so_far)
+      if (contains(cached->hops, hop)) loop_free = false;
+    if (loop_free) {
+      node_.log_route_event(RouteEventKind::Find);
+      std::vector<NodeId> full = header.route_so_far;
+      full.push_back(node_.id());
+      full.insert(full.end(), cached->hops.begin(), cached->hops.end());
+      DsrRrepHeader reply;
+      reply.origin = header.origin;
+      reply.target = header.target;
+      reply.route = full;
+      reply.freshness = cached->freshness;
+      // Travel back along the request path only (we are its last hop).
+      reply.travel = {node_.id()};
+      reply.travel.insert(reply.travel.end(), header.route_so_far.rbegin(),
+                          header.route_so_far.rend());
+      reply.travel_cursor = 1;
+      const NodeId next = reply.travel[1];
+      originate(PacketKind::RouteReply, header.origin, kNetDiameterTtl,
+                std::move(reply), next);
+      return;
     }
   }
 
@@ -250,13 +198,7 @@ void Dsr::handle_rreq(const Packet& pkt, NodeId from) {
   Packet relay = pkt;
   --relay.ttl;
   std::get<DsrRreqHeader>(relay.header).route_so_far.push_back(node_.id());
-  node_.log_packet(AuditPacketType::RouteRequest, FlowDirection::Forwarded);
-  ++stats_.control_forwarded;
-  node_.sim().after(rng_.uniform(0, config_.forward_jitter_s),
-                    [this, relay = std::move(relay)]() mutable {
-                      node_.channel().transmit(node_.id(), std::move(relay),
-                                               kBroadcast);
-                    });
+  relay_flood(std::move(relay));
 }
 
 void Dsr::handle_rrep(const Packet& pkt, NodeId from) {
@@ -275,9 +217,7 @@ void Dsr::handle_rrep(const Packet& pkt, NodeId from) {
   }
 
   if (is_origin) {
-    if (pending_discovery_.erase(header.target) > 0)
-      ++stats_.discoveries_succeeded;
-    flush_buffer(header.target);
+    complete_discovery(header.target);
     return;
   }
 
@@ -299,10 +239,8 @@ void Dsr::handle_rrep(const Packet& pkt, NodeId from) {
 void Dsr::handle_rerr(const Packet& pkt, NodeId from) {
   (void)from;
   const auto& header = std::get<DsrRerrHeader>(pkt.header);
-  const std::size_t removed = cache_.remove_link(
-      header.broken_from, header.broken_to, node_.id());
-  for (std::size_t i = 0; i < removed; ++i)
-    node_.log_route_event(RouteEventKind::Remove);
+  log_removals(
+      cache_.remove_link(header.broken_from, header.broken_to, node_.id()));
 
   if (pkt.dst == node_.id()) return;
   if (header.travel_cursor + 1 >= header.travel.size() ||
@@ -377,17 +315,13 @@ void Dsr::tap(const Packet& pkt, NodeId from, NodeId to) {
   } else if (const auto* rrep = std::get_if<DsrRrepHeader>(&pkt.header)) {
     learn_anchored(rrep->route, rrep->freshness);
   } else if (const auto* rerr = std::get_if<DsrRerrHeader>(&pkt.header)) {
-    const std::size_t removed = cache_.remove_link(
-        rerr->broken_from, rerr->broken_to, node_.id());
-    for (std::size_t i = 0; i < removed; ++i)
-      node_.log_route_event(RouteEventKind::Remove);
+    log_removals(
+        cache_.remove_link(rerr->broken_from, rerr->broken_to, node_.id()));
   }
 }
 
 void Dsr::link_failure(const Packet& pkt, NodeId to) {
-  const std::size_t removed = cache_.remove_link(node_.id(), to, node_.id());
-  for (std::size_t i = 0; i < removed; ++i)
-    node_.log_route_event(RouteEventKind::Remove);
+  log_removals(cache_.remove_link(node_.id(), to, node_.id()));
 
   if (pkt.kind != PacketKind::Data) return;
 
@@ -399,20 +333,16 @@ void Dsr::link_failure(const Packet& pkt, NodeId to) {
   const SimTime now = node_.sim().now();
   if (cache_.best_path(retry.dst, now) != nullptr) {
     node_.log_route_event(RouteEventKind::Repair);
-    source_route_and_send(std::move(retry));
+    send_along_route(std::move(retry));
     return;
   }
   if (retry.src == node_.id()) {
     // Our own packet: buffer and rediscover.
     node_.log_route_event(RouteEventKind::Repair);
-    const NodeId dst = retry.dst;
-    buffer_.push(std::move(retry));
-    if (!pending_discovery_.contains(dst))
-      start_discovery(dst, config_.max_rreq_retries, next_attempt_id_++);
+    buffer_and_discover(std::move(retry));
     return;
   }
-  ++stats_.data_dropped_no_route;
-  node_.log_packet(AuditPacketType::RouteAll, FlowDirection::Dropped);
+  drop_no_route();
 }
 
 void Dsr::send_rerr_to(NodeId source, NodeId broken_from, NodeId broken_to) {
@@ -427,42 +357,18 @@ void Dsr::send_rerr_to(NodeId source, NodeId broken_from, NodeId broken_to) {
     header.travel.insert(header.travel.end(), back->hops.begin(),
                          back->hops.end());
   header.travel_cursor = 1;
-
-  Packet pkt;
-  pkt.kind = PacketKind::RouteError;
-  pkt.src = node_.id();
-  pkt.dst = source;
-  pkt.ttl = config_.net_diameter_ttl;
-  pkt.size_bytes = kControlPacketBytes;
-  const NodeId next =
-      header.travel.size() > 1 ? header.travel[1] : kInvalidNode;
-  pkt.header = std::move(header);
-  node_.log_packet(AuditPacketType::RouteError, FlowDirection::Sent);
-  ++stats_.control_originated;
   ++stats_.rerr_sent;
-  if (next != kInvalidNode) {
-    node_.channel().transmit(node_.id(), std::move(pkt), next);
-  } else {
-    // No path back to the source: broadcast one hop so neighbors still
-    // unlearn the broken link.
-    pkt.ttl = 1;
-    node_.channel().transmit(node_.id(), std::move(pkt), kBroadcast);
-  }
-}
-
-void Dsr::flush_buffer(NodeId dst) {
-  for (Packet& pkt : buffer_.take(dst)) {
-    if (!source_route_and_send(std::move(pkt))) {
-      ++stats_.data_dropped_no_route;
-      node_.log_packet(AuditPacketType::RouteAll, FlowDirection::Dropped);
-    }
-  }
+  // With no path back to the source, broadcast one hop so neighbors still
+  // unlearn the broken link.
+  const bool routed = header.travel.size() > 1;
+  const NodeId next = routed ? header.travel[1] : kBroadcast;
+  originate(PacketKind::RouteError, source,
+            routed ? kNetDiameterTtl : std::uint16_t{1}, std::move(header),
+            next);
 }
 
 void Dsr::purge_tick() {
-  const std::size_t removed = cache_.purge_expired(node_.sim().now());
-  for (std::size_t i = 0; i < removed; ++i)
-    node_.log_route_event(RouteEventKind::Remove);
+  log_removals(cache_.purge_expired(node_.sim().now()));
 }
 
 void Dsr::inject_bogus_route_advert(NodeId victim) {
@@ -473,12 +379,6 @@ void Dsr::inject_bogus_route_advert(NodeId victim) {
   // one has a cached route to, so no intermediate cache reply can answer the
   // flood — the REQUEST propagates network-wide, producing both the paper's
   // flooding overhead and network-wide poisoning.
-  Packet pkt;
-  pkt.kind = PacketKind::RouteRequest;
-  pkt.src = node_.id();
-  pkt.dst = kBroadcast;
-  pkt.ttl = config_.net_diameter_ttl;
-  pkt.size_bytes = kControlPacketBytes;
   DsrRreqHeader header;
   // High-range id: must not collide with the victim's genuine request ids in
   // the network's duplicate-suppression caches.
@@ -487,10 +387,8 @@ void Dsr::inject_bogus_route_advert(NodeId victim) {
   header.target = victim + 1000000;  // phantom destination
   header.route_so_far = {victim, node_.id()};
   header.freshness = kMaxSeqNo;
-  pkt.header = header;
-  node_.log_packet(AuditPacketType::RouteRequest, FlowDirection::Sent);
-  ++stats_.control_originated;
-  node_.channel().transmit(node_.id(), std::move(pkt), kBroadcast);
+  originate(PacketKind::RouteRequest, kBroadcast, kNetDiameterTtl,
+            std::move(header), kBroadcast);
 }
 
 }  // namespace xfa

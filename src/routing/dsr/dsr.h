@@ -10,30 +10,17 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 
 #include "net/channel.h"
 #include "net/node.h"
 #include "routing/dsr/route_cache.h"
 #include "routing/route_events.h"
-#include "sim/rng.h"
 
 namespace xfa {
 
-struct DsrConfig {
-  SimTime rreq_retry_timeout = 1.0;  // doubled per retry
-  int max_rreq_retries = 2;
-  std::uint16_t net_diameter_ttl = 32;
-  SimTime purge_interval = 1.0;
-  double forward_jitter_s = 0.002;
-  std::size_t max_paths_per_dst = 3;
-  SimTime path_lifetime = 60.0;
-  bool intermediate_cache_replies = true;
-};
-
-class Dsr final : public RoutingProtocol {
+class Dsr final : public OnDemandAgent {
  public:
-  Dsr(Node& node, const DsrConfig& config = {});
+  explicit Dsr(Node& node);
 
   void start() override;
   void send_data(Packet&& pkt) override;
@@ -45,25 +32,23 @@ class Dsr final : public RoutingProtocol {
   const char* name() const override { return "DSR"; }
 
   const DsrRouteCache& cache() const { return cache_; }
-  const RoutingStats& stats() const override { return stats_; }
 
-  /// Attack surface used by the black hole script: broadcasts a forged
-  /// one-hop ROUTE REQUEST "victim -> me" with maximum freshness, so every
-  /// overhearing neighbor reverses it into "victim is reachable through me".
-  void inject_bogus_route_advert(NodeId victim);
+  /// Broadcasts a forged one-hop ROUTE REQUEST "victim -> me" with maximum
+  /// freshness, so every overhearing neighbor reverses it into "victim is
+  /// reachable through me".
+  void inject_bogus_route_advert(NodeId victim) override;
 
  private:
-  void start_discovery(NodeId dst, int retries_left, std::uint32_t attempt_id);
+  void send_route_request(NodeId dst) override;
+  /// Attaches the best cached source route and transmits. Returns false when
+  /// no route is cached.
+  bool send_along_route(Packet&& pkt) override;
   // Handlers read the shared (zero-copy fan-out) packet through a const ref
   // and deep-copy only on the relay paths that mutate it.
   void handle_rreq(const Packet& pkt, NodeId from);
   void handle_rrep(const Packet& pkt, NodeId from);
   void handle_rerr(const Packet& pkt, NodeId from);
   void handle_data(const Packet& pkt, NodeId from);
-  void flush_buffer(NodeId dst);
-  /// Attaches the best cached source route and transmits. Returns false when
-  /// no route is cached.
-  bool source_route_and_send(Packet&& pkt);
   /// Caches `hops` (a view into a packet's route or into reversed_) unless
   /// it is empty or passes through this node.
   void learn_path(std::span<const NodeId> hops, SeqNo freshness,
@@ -79,17 +64,9 @@ class Dsr final : public RoutingProtocol {
   void send_rerr_to(NodeId source, NodeId broken_from, NodeId broken_to);
   void purge_tick();
 
-  Node& node_;
-  DsrConfig config_;
-  Rng rng_;
   DsrRouteCache cache_;
-  SendBuffer buffer_;
-  FloodIdCache rreq_seen_;
-  RoutingStats stats_;
 
   std::uint32_t next_request_id_ = 1;
-  std::unordered_map<NodeId, std::uint32_t> pending_discovery_;
-  std::uint32_t next_attempt_id_ = 1;
   std::unique_ptr<PeriodicTimer> purge_timer_;
   std::vector<NodeId> reversed_;
 };

@@ -1,20 +1,27 @@
 #include "routing/route_events.h"
 
 #include <algorithm>
-#include <ostream>
 #include <utility>
 
-namespace xfa {
+#include "net/channel.h"
 
-std::ostream& operator<<(std::ostream& os, const RoutingStats& stats) {
-  os << "discoveries=" << stats.discoveries_started << "/"
-     << stats.discoveries_succeeded << " fwd=" << stats.data_forwarded
-     << " drop(no-route)=" << stats.data_dropped_no_route
-     << " drop(malicious)=" << stats.data_dropped_malicious
-     << " ctl=" << stats.control_originated << "+" << stats.control_forwarded
-     << " rerr=" << stats.rerr_sent;
-  return os;
+namespace xfa {
+namespace {
+
+// AuditPacketType lists the control kinds in PacketKind's order, one place
+// further along (RouteAll comes before them).
+constexpr AuditPacketType control_audit_type(PacketKind kind) {
+  return static_cast<AuditPacketType>(static_cast<int>(kind) + 1);
 }
+static_assert(control_audit_type(PacketKind::RouteRequest) ==
+              AuditPacketType::RouteRequest);
+static_assert(control_audit_type(PacketKind::RouteReply) ==
+              AuditPacketType::RouteReply);
+static_assert(control_audit_type(PacketKind::RouteError) ==
+              AuditPacketType::RouteError);
+static_assert(control_audit_type(PacketKind::Hello) == AuditPacketType::Hello);
+
+}  // namespace
 
 bool SendBuffer::push(Packet&& pkt) {
   auto& queue = by_dst_[pkt.dst];
@@ -65,6 +72,68 @@ bool FloodIdCache::seen_before(NodeId origin, std::uint32_t id, SimTime now) {
     sweep_at_ = std::max(kMinSweepAt, 2 * entries_.size());
   }
   return false;
+}
+
+void OnDemandAgent::buffer_and_discover(Packet&& pkt) {
+  const NodeId dst = pkt.dst;
+  buffer_.push(std::move(pkt));
+  if (!pending_discovery_.contains(dst))
+    start_discovery(dst, kMaxRreqRetries, next_attempt_id_++);
+}
+
+void OnDemandAgent::start_discovery(NodeId dst, int retries_left,
+                                    std::uint32_t attempt_id) {
+  pending_discovery_[dst] = attempt_id;
+  ++stats_.discoveries_started;
+  send_route_request(dst);
+
+  const SimTime timeout =
+      kRreqRetryTimeout *
+      static_cast<double>(1 << (kMaxRreqRetries - retries_left));
+  node_.sim().after(timeout, [this, dst, retries_left, attempt_id] {
+    const auto it = pending_discovery_.find(dst);
+    if (it == pending_discovery_.end() || it->second != attempt_id)
+      return;  // answered or superseded
+    if (retries_left > 0) {
+      start_discovery(dst, retries_left - 1, attempt_id);
+      return;
+    }
+    // Give up: drop everything buffered for this destination.
+    pending_discovery_.erase(it);
+    ++stats_.discoveries_failed;
+    for ([[maybe_unused]] Packet& dropped : buffer_.take(dst))
+      drop_no_route();
+  });
+}
+
+void OnDemandAgent::complete_discovery(NodeId dst) {
+  if (pending_discovery_.erase(dst) > 0) ++stats_.discoveries_succeeded;
+  for (Packet& pkt : buffer_.take(dst))
+    if (!send_along_route(std::move(pkt))) drop_no_route();
+}
+
+void OnDemandAgent::originate(PacketKind kind, NodeId dst, std::uint16_t ttl,
+                              RoutingHeader header, NodeId next_hop) {
+  Packet pkt;
+  pkt.kind = kind;
+  pkt.src = node_.id();
+  pkt.dst = dst;
+  pkt.ttl = ttl;
+  pkt.size_bytes = kControlPacketBytes;
+  pkt.header = std::move(header);
+  node_.log_packet(control_audit_type(kind), FlowDirection::Sent);
+  ++stats_.control_originated;
+  node_.channel().transmit(node_.id(), std::move(pkt), next_hop);
+}
+
+void OnDemandAgent::relay_flood(Packet&& relay) {
+  node_.log_packet(AuditPacketType::RouteRequest, FlowDirection::Forwarded);
+  ++stats_.control_forwarded;
+  node_.sim().after(rng_.uniform(0, kForwardJitterS),
+                    [this, relay = std::move(relay)]() mutable {
+                      node_.channel().transmit(node_.id(), std::move(relay),
+                                               kBroadcast);
+                    });
 }
 
 }  // namespace xfa

@@ -540,9 +540,9 @@ Dataset random_ripper_dataset(std::size_t rows, std::uint64_t seed) {
 }
 
 // Row counts straddle word boundaries (1, 63, 64, 65) and reach 2000, where
-// the first grow steps run dense and the thinned-out later ones sparse. A
-// grow fraction of 1 leaves the prune set empty; the second feature list
-// includes the label column, which the fit must skip.
+// later grow steps count over a thinned-out span of words. A grow fraction
+// of 1 leaves the prune set empty; the second feature list includes the
+// label column, which the fit must skip.
 TEST(RipperTest, BitsetFitMatchesCountingReference) {
   std::size_t fits = 0, rules = 0;
   for (const std::size_t rows : {1u, 63u, 64u, 65u, 300u, 2000u}) {

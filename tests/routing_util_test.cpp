@@ -1,13 +1,22 @@
-// Unit tests: shared routing-agent utilities (send buffer, flood-id cache,
-// routing stats printer).
+// Unit tests: shared routing-agent utilities (send buffer, flood-id cache)
+// and the route discovery both on-demand agents share.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
+#include <memory>
+#include <ostream>
 #include <utility>
+#include <vector>
 
+#include "audit/audit.h"
+#include "mobility/static.h"
+#include "net/channel.h"
+#include "net/node.h"
+#include "routing/aodv/aodv.h"
+#include "routing/dsr/dsr.h"
 #include "routing/route_events.h"
 #include "sim/rng.h"
+#include "sim/simulator.h"
 
 namespace xfa {
 namespace {
@@ -136,17 +145,135 @@ TEST(FloodIdCache, SweptMatchesUnsweptReference) {
   }
 }
 
-TEST(RoutingStats, PrinterIncludesCounters) {
-  RoutingStats stats;
-  stats.discoveries_started = 4;
-  stats.data_forwarded = 99;
-  stats.rerr_sent = 2;
-  std::ostringstream os;
-  os << stats;
-  EXPECT_NE(os.str().find("discoveries=4"), std::string::npos);
-  EXPECT_NE(os.str().find("fwd=99"), std::string::npos);
-  EXPECT_NE(os.str().find("rerr=2"), std::string::npos);
+// ---------------------------------------------------------------------------
+// Route discovery at a single router, pinned for both on-demand agents: the
+// request is repeated after 1 s and 2 s more (binary backoff), the discovery
+// gives up 4 s after the last request and drops what it buffered, one
+// discovery per destination is in flight, and a retry timer left over from
+// an answered discovery never touches a later one.
+// ---------------------------------------------------------------------------
+
+enum class AgentKind { Aodv, Dsr };
+void PrintTo(AgentKind kind, std::ostream* os) {
+  *os << (kind == AgentKind::Aodv ? "Aodv" : "Dsr");
 }
+
+class DiscoveryConformance : public ::testing::TestWithParam<AgentKind> {
+ protected:
+  // Node 0 (the source, audited) and node 1, `spacing` metres apart with a
+  // 250 m radio range.
+  void build(double spacing) {
+    mobility = std::make_unique<StaticPositions>(
+        StaticPositions::line(2, spacing));
+    ChannelConfig config;
+    config.range_m = 250;
+    config.max_jitter_s = 0.0005;
+    const bool dsr = GetParam() == AgentKind::Dsr;
+    config.promiscuous_taps = dsr;  // DSR learns from overheard packets
+    channel = std::make_unique<Channel>(sim, *mobility, config);
+    for (NodeId i = 0; i < 2; ++i) {
+      nodes.push_back(std::make_unique<Node>(sim, *channel, i));
+      channel->register_node(*nodes.back());
+      Node& node = *nodes.back();
+      if (dsr) {
+        node.set_routing(std::make_unique<Dsr>(node));
+      } else {
+        node.set_routing(std::make_unique<Aodv>(node));
+      }
+      node.routing().start();
+    }
+    nodes[0]->attach_audit(&audit);
+  }
+
+  void send_to_1(std::uint32_t seq) {
+    nodes[0]->send_data(1, /*flow_id=*/1, seq, 512, false);
+  }
+  const RoutingStats& stats() const { return nodes[0]->routing().stats(); }
+  std::vector<SimTime> rreqs_sent() const {
+    return audit.packet_times(AuditPacketType::RouteRequest,
+                              FlowDirection::Sent);
+  }
+  std::vector<SimTime> drops() const {
+    return audit.packet_times(AuditPacketType::RouteAll,
+                              FlowDirection::Dropped);
+  }
+
+  Simulator sim{5};
+  std::unique_ptr<StaticPositions> mobility;
+  std::unique_ptr<Channel> channel;
+  std::vector<std::unique_ptr<Node>> nodes;
+  AuditLog audit;
+};
+
+// Times built by adding delays to a timer's start can differ from the
+// expected sum in the last bit.
+void expect_times(const std::vector<SimTime>& got,
+                  const std::vector<SimTime>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_NEAR(got[i], want[i], 1e-9) << "entry " << i;
+}
+
+TEST_P(DiscoveryConformance, RetriesBackOffThenGiveUp) {
+  build(10000);  // node 1 is out of range
+  const SimTime t0 = 2.5;
+  sim.run_until(t0);
+  send_to_1(0);
+  sim.run_until(t0 + 0.5);
+  send_to_1(1);  // joins the discovery in flight
+  EXPECT_EQ(stats().discoveries_started, 1u);
+
+  sim.run_until(t0 + 6.9);
+  expect_times(rreqs_sent(), {t0, t0 + 1, t0 + 3});
+  EXPECT_EQ(stats().discoveries_failed, 0u);
+  EXPECT_TRUE(drops().empty());
+
+  sim.run_until(t0 + 30);
+  EXPECT_EQ(rreqs_sent().size(), 3u);
+  EXPECT_EQ(stats().discoveries_started, 3u);
+  EXPECT_EQ(stats().discoveries_succeeded, 0u);
+  EXPECT_EQ(stats().discoveries_failed, 1u);
+  EXPECT_EQ(stats().data_dropped_no_route, 2u);
+  expect_times(drops(), {t0 + 7, t0 + 7});
+  EXPECT_EQ(nodes[1]->data_delivered(), 0u);
+}
+
+TEST_P(DiscoveryConformance, AnsweredDiscoverySendsOneRequest) {
+  build(100);
+  send_to_1(0);  // t0 = 0, before any HELLO could install a route
+  sim.run_until(5);
+  expect_times(rreqs_sent(), {0.0});
+  EXPECT_EQ(stats().discoveries_started, 1u);
+  EXPECT_EQ(stats().discoveries_succeeded, 1u);
+  EXPECT_EQ(stats().discoveries_failed, 0u);
+  EXPECT_TRUE(drops().empty());
+  EXPECT_EQ(nodes[1]->data_delivered(), 1u);
+}
+
+TEST_P(DiscoveryConformance, StaleRetryTimerLeavesNewDiscoveryAlone) {
+  build(100);
+  send_to_1(0);  // discovery A at t0 = 0, answered at once
+  sim.run_until(0.5);
+  ASSERT_EQ(stats().discoveries_succeeded, 1u);
+  // Node 1 leaves; the next packet's unicast fails and the link failure
+  // starts discovery B for the same destination before A's timer (t0 + 1).
+  mobility->move(1, {10000, 0});
+  send_to_1(1);
+  sim.run_until(0.9);
+  ASSERT_EQ(rreqs_sent().size(), 2u);
+  const SimTime t1 = rreqs_sent()[1];
+  ASSERT_GT(t1, 0.5);
+
+  sim.run_until(t1 + 30);
+  // A's timer fires at t0 + 1 and sends nothing: B alone retries.
+  expect_times(rreqs_sent(), {0.0, t1, t1 + 1, t1 + 3});
+  EXPECT_EQ(stats().discoveries_started, 4u);
+  EXPECT_EQ(stats().discoveries_failed, 1u);
+  expect_times(drops(), {t1 + 7});
+}
+
+INSTANTIATE_TEST_SUITE_P(Agents, DiscoveryConformance,
+                         ::testing::Values(AgentKind::Aodv, AgentKind::Dsr));
 
 }  // namespace
 }  // namespace xfa
