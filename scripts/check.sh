@@ -12,6 +12,9 @@
 # benchmark driver, which compiles src/ on its own, so an API change that
 # breaks it fails here, and checks one full-size run of every workload
 # against perf/golden.txt, so a change that moves output bytes fails too.
+# Also after the release pass, a 5000-node AODV world must peak below
+# 128 MB RSS, so per-node state that grows with the node count fails too.
+# That gate is an addition: no earlier gate or bound is loosened for it.
 # After the sanitizer pass it re-runs the chaos / corruption /
 # checkpoint-store / crash-resume robustness suites with the cache forced
 # off (XFA_NO_CACHE) so every fault-injection,
@@ -85,6 +88,32 @@ run_pass() {
 
 run_pass "release" build-check-release -DCMAKE_BUILD_TYPE=Release
 
+# Scale-memory gate: one 5000-node AODV world (scale-1000.scn at the same
+# density, the 5k point its header describes) must peak below 128 MB RSS.
+# Per-node protocol state that grows with the node count, such as an array
+# indexed by neighbor id, costs O(N^2) bytes per world and fails here long
+# before a 10k-node run would exhaust memory. The .scn is written into the
+# build tree, because every file in examples/scenarios is a registered plan.
+echo "=== release: scale-memory gate (5000 nodes, peak RSS <= 128 MB) ==="
+scale_dir=build-check-release/scale-scn
+mkdir -p "${scale_dir}"
+sed -e 's/^nodes = 1000$/nodes = 5000/' \
+  -e 's/^width = 4500$/width = 10000/' \
+  -e 's/^height = 4500$/height = 10000/' \
+  examples/scenarios/scale-1000.scn > "${scale_dir}/scale-5000.scn"
+grep -q '^nodes = 5000$' "${scale_dir}/scale-5000.scn"
+grep -q '^width = 10000$' "${scale_dir}/scale-5000.scn"
+grep -q '^height = 10000$' "${scale_dir}/scale-5000.scn"
+XFA_NO_CACHE=1 XFA_SCENARIO_DIR="${scale_dir}" python3 - \
+  build-check-release/bench/xfa_bench <<'PY'
+import resource, subprocess, sys
+subprocess.run([sys.argv[1], "scn:scale-5000", "--threads=1"], check=True,
+               stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"scale-5000 peak RSS {peak_mb:.1f} MB (limit 128 MB)")
+sys.exit(0 if peak_mb <= 128 else 1)
+PY
+
 # The benchmark driver (perf/xfa_perf.cpp) is a separate CMake project over
 # the same src/; its selftest builds it, checks digests across thread
 # counts and traced vs plain runs, and validates every JSON it emits.
@@ -123,14 +152,16 @@ run_pass "asan+ubsan" build-check-sanitize \
 # compacts a destination's slots on removal (DsrRouteCache, DsrAgent),
 # and the neighbor grid, whose confirmation bitset is indexed by node id
 # (NeighborIndexTest), and the flood-id cache, which erases expired entries
-# while the agent keeps using it (FloodIdCache),
+# while the agent keeps using it (FloodIdCache), and the AODV neighbor
+# table, which indexes its slots by a masked node id and shifts them back
+# on erase (NeighborTable),
 # must all hold with sanitizers armed and caching disabled — no on-disk bytes
 # may crash the process, no kill point may lose or corrupt a stored
-# checkpoint unit, and no chaos, arrival-pool, kernel, grid or flood-cache
-# path may contain UB.
+# checkpoint unit, and no chaos, arrival-pool, kernel, grid, flood-cache or
+# neighbor-table path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache' \
+  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache|NeighborTable' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be

@@ -279,21 +279,17 @@ void Aodv::send_rerr(std::vector<std::pair<NodeId, SeqNo>> unreachable) {
 }
 
 void Aodv::note_neighbor(NodeId from, SimTime now) {
-  // Hot path for every received packet: one dense-array store. The hash map
+  // Hot path for every received packet: one table probe. The hash map
   // (whose iteration order purge_tick depends on for byte-identity) is only
   // touched when the neighbor set actually changes.
-  const auto idx = static_cast<std::size_t>(from);
-  if (idx >= neighbor_heard_at_.size())
-    neighbor_heard_at_.resize(idx + 1, -1.0);
-  if (neighbor_heard_at_[idx] < 0) neighbor_last_heard_.emplace(from, now);
-  neighbor_heard_at_[idx] = now;
+  if (neighbor_heard_at_.assign(from, now))
+    neighbor_last_heard_.emplace(from, now);
 }
 
 void Aodv::link_failure(const Packet& pkt, NodeId to) {
   const SimTime now = node_.sim().now();
   neighbor_last_heard_.erase(to);
-  if (static_cast<std::size_t>(to) < neighbor_heard_at_.size())
-    neighbor_heard_at_[static_cast<std::size_t>(to)] = -1.0;
+  neighbor_heard_at_.erase(to);
   auto broken = table_.invalidate_via(to, now);
   log_removals(broken.size());
 
@@ -320,14 +316,13 @@ void Aodv::purge_tick() {
   const SimTime deadline = now - kAllowedHelloLoss * kHelloInterval;
   for (auto it = neighbor_last_heard_.begin();
        it != neighbor_last_heard_.end();) {
-    // Authoritative timestamps live in the dense array (see note_neighbor);
-    // the map supplies only membership and its byte-load-bearing iteration
-    // order.
-    if (neighbor_heard_at_[static_cast<std::size_t>(it->first)] < deadline) {
+    // Authoritative timestamps live in the table (see note_neighbor); the
+    // map supplies only membership and its byte-load-bearing iteration order.
+    if (*neighbor_heard_at_.find(it->first) < deadline) {
       auto broken = table_.invalidate_via(it->first, now);
       log_removals(broken.size());
       send_rerr(std::move(broken));
-      neighbor_heard_at_[static_cast<std::size_t>(it->first)] = -1.0;
+      neighbor_heard_at_.erase(it->first);
       it = neighbor_last_heard_.erase(it);
     } else {
       ++it;

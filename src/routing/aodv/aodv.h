@@ -14,6 +14,7 @@
 
 #include "net/channel.h"
 #include "net/node.h"
+#include "routing/aodv/neighbor_table.h"
 #include "routing/aodv/route_table.h"
 #include "routing/route_events.h"
 
@@ -60,20 +61,18 @@ class Aodv final : public OnDemandAgent {
   SeqNo my_seqno_ = 1;
   std::uint32_t next_rreq_id_ = 1;
   SeqNo hello_seqno_ = 0;
-  // Neighbor liveness is split across two structures for a reason that is
-  // purely about byte-identity: purge_tick() iterates neighbors in this
-  // hash map's order and sends one RERR per dead neighbor, and each RERR
-  // broadcast draws per-receiver RNG jitter — so the map's iteration order
-  // is part of the trace byte-identity contract and the container cannot
-  // change. But "I heard neighbor X just now" fires for every received
-  // packet (~2M hash probes per 1k-node minute, ~10% of the profile), so
-  // the per-packet timestamp write goes to a dense id-indexed array and the
-  // map is only touched when membership actually changes (new neighbor /
-  // expiry), leaving its operation sequence — and therefore its iteration
-  // order — exactly as before. The map's mapped value is meaningless; read
-  // timestamps from neighbor_heard_at_.
+  // Neighbor liveness lives in two structures that always hold the same
+  // ids. purge_tick() expires neighbors in the hash map's iteration order and
+  // sends one RERR per dead neighbor, and each RERR broadcast draws
+  // per-receiver RNG jitter. So the map's iteration order is part of the
+  // trace byte-identity contract: the container cannot change, and it is
+  // touched only when membership changes (new neighbor, link failure,
+  // expiry). Its mapped value is meaningless.
+  // The per-packet "heard X just now" store goes to the open-addressed
+  // table, which holds the timestamps in memory proportional to the
+  // neighbor count.
   std::unordered_map<NodeId, SimTime> neighbor_last_heard_;
-  std::vector<SimTime> neighbor_heard_at_;  // -1 = not currently a neighbor
+  NeighborTable neighbor_heard_at_;
 
   std::unique_ptr<PeriodicTimer> hello_timer_;
   std::unique_ptr<PeriodicTimer> purge_timer_;

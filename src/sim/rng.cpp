@@ -50,13 +50,15 @@ double Rng::uniform(double lo, double hi) {
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
   XFA_CHECK_GT(n, 0);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = max() - max() % n;
-  std::uint64_t v;
-  do {
-    v = (*this)();
-  } while (v >= limit);
-  return v % n;
+  // Rejection sampling to avoid modulo bias: accept v below
+  // limit = max() - max() % n. That limit exceeds max() - n for every n, so
+  // a draw up to max() - n is accepted without dividing for the limit; only
+  // a draw above it pays for the exact test. Same accepted values, same
+  // stream.
+  for (;;) {
+    const std::uint64_t v = (*this)();
+    if (v <= max() - n || v < max() - max() % n) return v % n;
+  }
 }
 
 double Rng::exponential(double mean) {

@@ -1,13 +1,20 @@
-// Unit tests: AODV route table and agent behaviour on fixed topologies.
+// Unit tests: AODV route table, neighbor table and agent behaviour on fixed
+// topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "audit/audit.h"
 #include "mobility/static.h"
 #include "net/channel.h"
 #include "net/node.h"
 #include "routing/aodv/aodv.h"
+#include "routing/aodv/neighbor_table.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "transport/cbr.h"
 
@@ -100,6 +107,87 @@ TEST(AodvRouteTable, InvalidationBumpsSeqnoForRecovery) {
   table.update(5, 2, 3, 10, true, 100.0, 0.0);
   table.invalidate(5, 1.0);
   EXPECT_EQ(table.lookup_any(5)->seqno, 11u);
+}
+
+// ---------------------------------------------------------------------------
+// Neighbor table.
+// ---------------------------------------------------------------------------
+
+TEST(NeighborTable, MatchesMapReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    // The id pool mixes ids anywhere up to 10^6, ids that share their low
+    // ten bits (one home slot at every size up to 1024 slots), and ids whose
+    // home is one of the last slots at every size, so their probe chains
+    // wrap past the end of the table.
+    std::vector<NodeId> pool;
+    for (int k = 0; k < 100; ++k) {
+      pool.push_back(static_cast<NodeId>(rng.uniform_int(1000001)));
+    }
+    for (NodeId k = 1; k <= 40; ++k) pool.push_back(k * 1024 + 5);
+    for (NodeId k = 0; k < 40; ++k) pool.push_back(k * 1024 + 1023 - k % 3);
+
+    NeighborTable table;
+    std::map<NodeId, SimTime> reference;
+    std::size_t peak_slots = 0, absent_erases = 0;
+    SimTime now = 0;
+    for (int op = 0; op < 40000; ++op) {
+      SCOPED_TRACE(op);
+      now += 0.25;
+      const NodeId id = pool[rng.uniform_int(pool.size())];
+      // Phases of 5000 ops alternate between filling and draining, so the
+      // table both grows and runs nearly empty again.
+      const double insert_share = (op / 5000) % 2 == 0 ? 0.7 : 0.3;
+      if (rng.chance(insert_share)) {
+        const bool added = reference.insert_or_assign(id, now).second;
+        ASSERT_EQ(table.assign(id, now), added);
+      } else if (rng.chance(0.5)) {
+        if (reference.erase(id) == 0) ++absent_erases;
+        table.erase(id);
+      } else {
+        const auto it = reference.find(id);
+        const SimTime* heard = table.find(id);
+        ASSERT_EQ(heard != nullptr, it != reference.end());
+        if (heard != nullptr) {
+          ASSERT_EQ(*heard, it->second);
+        }
+      }
+      ASSERT_EQ(table.size(), reference.size());
+      ASSERT_GE(table.slot_count(), 2 * table.size());
+      peak_slots = std::max(peak_slots, table.slot_count());
+      if (op % 1000 == 999) {
+        for (const NodeId probe : pool) {
+          const auto it = reference.find(probe);
+          const SimTime* heard = table.find(probe);
+          ASSERT_EQ(heard != nullptr, it != reference.end()) << probe;
+          if (heard != nullptr) {
+            ASSERT_EQ(*heard, it->second);
+          }
+        }
+      }
+    }
+    EXPECT_GE(peak_slots, 256u);
+    EXPECT_GT(absent_erases, 1000u);
+  }
+}
+
+TEST(NeighborTable, SlotsStayProportionalToDegree) {
+  // Twenty neighbors with ids near 10^6: an id-indexed array would need a
+  // million entries, the table needs the next power of two above twice 20.
+  NeighborTable table;
+  for (NodeId k = 0; k < 20; ++k) {
+    EXPECT_TRUE(table.assign(1000000 - 37 * k, static_cast<SimTime>(k)));
+  }
+  EXPECT_FALSE(table.assign(1000000, 99.0));
+  EXPECT_EQ(table.size(), 20u);
+  EXPECT_LE(table.slot_count(), 64u);
+  for (NodeId k = 1; k < 20; ++k) {
+    ASSERT_NE(table.find(1000000 - 37 * k), nullptr);
+    EXPECT_EQ(*table.find(1000000 - 37 * k), static_cast<SimTime>(k));
+  }
+  EXPECT_EQ(*table.find(1000000), 99.0);
+  EXPECT_EQ(table.find(999999), nullptr);
 }
 
 // ---------------------------------------------------------------------------

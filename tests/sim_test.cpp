@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "sim/rng.h"
@@ -203,6 +204,31 @@ TEST(RngTest, UniformIntCoversAllValues) {
   for (const int c : counts) {
     EXPECT_GT(c, 800);
     EXPECT_LT(c, 1200);
+  }
+}
+
+// uniform_int accepts a draw up to max() - n before it computes the rejection
+// limit. Every such draw is below the limit too, so the accepted values and
+// the number of raw draws consumed must match the plain rejection loop,
+// including for the bounds where the limit rejects almost half the draws.
+TEST(RngTest, UniformIntStreamUnchanged) {
+  const auto rejection_loop = [](Rng& rng, std::uint64_t n) {
+    const std::uint64_t limit = Rng::max() - Rng::max() % n;
+    std::uint64_t v;
+    do {
+      v = rng();
+    } while (v >= limit);
+    return v % n;
+  };
+  constexpr std::uint64_t kBounds[] = {
+      1, 2, 3, 7, (1ULL << 32) + 1, 1ULL << 63, (1ULL << 63) + 1, ~0ULL};
+  for (const std::uint64_t n : kBounds) {
+    SCOPED_TRACE(n);
+    Rng rng(n), reference(n);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(rng.uniform_int(n), rejection_loop(reference, n));
+    }
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(rng(), reference());
   }
 }
 
