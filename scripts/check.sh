@@ -154,14 +154,15 @@ run_pass "asan+ubsan" build-check-sanitize \
 # (NeighborIndexTest), and the flood-id cache, which erases expired entries
 # while the agent keeps using it (FloodIdCache), and the AODV neighbor
 # table, which indexes its slots by a masked node id and shifts them back
-# on erase (NeighborTable),
+# on erase (NeighborTable), and the CRC-64 kernel, which reads its input as
+# 8-byte words at any alignment (Crc64),
 # must all hold with sanitizers armed and caching disabled — no on-disk bytes
 # may crash the process, no kill point may lose or corrupt a stored
-# checkpoint unit, and no chaos, arrival-pool, kernel, grid, flood-cache or
-# neighbor-table path may contain UB.
+# checkpoint unit, and no chaos, arrival-pool, kernel, grid, flood-cache,
+# neighbor-table or checksum path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache|NeighborTable' \
+  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache|NeighborTable|Crc64' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be
@@ -169,7 +170,8 @@ XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
 # this is its own pass; it runs only the concurrency-focused suites (a full
 # TSan ctest would multiply the simulation-heavy tests' runtime ~10x for no
 # extra interleaving coverage). RipperTest fits RIPPER sub-models on 2 and 8
-# pool threads over one shared DatasetView and its row bitsets.
+# pool threads over one shared DatasetView and its row bitsets; RatioMemo
+# races pool threads to the first use of the per-process log2 ratio tables.
 echo "=== tsan: configure + build ==="
 cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -177,7 +179,7 @@ cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
 cmake --build build-check-tsan -j "${JOBS}"
 echo "=== tsan: concurrency suites ==="
 ctest --test-dir build-check-tsan -j "${JOBS}" \
-  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|RipperTest|DatasetViewTest|BlockKernel|DiscretizerBranchless|Deadline|Shard|FeatSel' \
+  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|RipperTest|RatioMemo|DatasetViewTest|BlockKernel|DiscretizerBranchless|Deadline|Shard|FeatSel' \
   --output-on-failure
 
 echo "All checks passed."

@@ -183,7 +183,7 @@ void C45::grow(const DatasetView& view, FitScratch& scratch, TreeNode& node,
     // Counts are integral, so each p*log2(p) term is keyed by its (count,
     // total) pair: small totals hit the direct-indexed table, large ones
     // fall back to the bit-pattern memo — both return the exact double the
-    // division-plus-log2 computed the first time.
+    // division-plus-log2 computes.
     const bool small = RatioMemo<PLog2PFn>::covers(total);
     for (std::size_t v = 0; v < values; ++v) {
       const double* const bucket = counts + v * labels;

@@ -102,7 +102,7 @@ class C45 final : public Classifier {
     std::vector<std::size_t> cursor;     // counting-sort cursors, same
     std::vector<LevelScratch> levels;    // state outliving the recursion
     Log2Memo log2;                       // memoized entropy/split-info terms
-    RatioMemo<PLog2PFn> plogp;           // small-count p*log2(p) pair table
+    RatioMemo<PLog2PFn> plogp;           // shared small-count p*log2(p) table
     std::size_t rows = 0;
   };
 

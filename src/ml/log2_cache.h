@@ -8,7 +8,7 @@
 // first time — results stay bit-identical by construction, the transcendental
 // just runs once per distinct input.
 //
-// One instance per fit (never shared across threads). Open addressing with a
+// One LogMemo per fit (never shared across threads). Open addressing with a
 // bounded probe; on table pressure it falls back to computing directly.
 #pragma once
 
@@ -66,38 +66,46 @@ struct PLog2PFn {
   double operator()(double p) const { return p * std::log2(p); }
 };
 
-/// Memoized f(c / t) for *integral* pairs 0 < c <= t, the shape of every
-/// entropy / split-info / FOIL term in the fit hot paths (c and t are event
-/// counts). For t below the cap the pair indexes a triangular table directly
-/// — one multiply and one load replace the division, hash and probe of the
-/// bit-pattern memo. Each slot stores the exact double f(c/t) produced the
-/// first time, so results are bit-identical to computing f(c/t) every call.
-/// Deep tree nodes (small t) dominate the call volume and hit the small,
-/// cache-resident low-t rows; callers fall back to LogMemo when t >= cap.
+/// f(c / t) for *integral* pairs 0 < c <= t, the shape of every entropy /
+/// split-info / FOIL term in the fit hot paths (c and t are event counts).
+/// For t below the cap the pair indexes a triangular table directly — one
+/// multiply and one load replace the division and the transcendental. The
+/// table is filled once per process per Fn (a function-local static, so its
+/// first use is thread-safe) and is read-only after that, so every fit on
+/// every thread shares it. Each slot holds Fn{}(c / t), so results are
+/// bit-identical to computing f(c/t) every call. Deep tree nodes (small t)
+/// dominate the call volume and hit the small, cache-resident low-t rows;
+/// callers fall back to LogMemo when t >= cap.
 template <class Fn>
 class RatioMemo {
  public:
-  RatioMemo() : vals_(kCap * (kCap + 1) / 2, kEmpty) {}
-
   /// True when (c, t) is table-representable; c <= t is the caller's
   /// invariant (counts of a subset never exceed the total).
   static bool covers(double t) { return t < static_cast<double>(kCap); }
 
   /// `c` and `t` must be positive integral doubles with c <= t < cap.
-  double operator()(double c, double t) {
+  double operator()(double c, double t) const {
     const auto ci = static_cast<std::size_t>(c);
     const auto ti = static_cast<std::size_t>(t);
-    double& slot = vals_[ti * (ti + 1) / 2 + ci];
-    if (slot == kEmpty) slot = Fn{}(c / t);
-    return slot;
+    return vals_[ti * (ti + 1) / 2 + ci];
   }
 
  private:
   static constexpr std::size_t kCap = 256;
-  // f(c/t) <= 0 for every ratio in (0, 1], so a positive sentinel is safe.
-  static constexpr double kEmpty = 1.0;
 
-  std::vector<double> vals_;
+  static const std::vector<double>& table() {
+    static const std::vector<double> vals = [] {
+      std::vector<double> v(kCap * (kCap + 1) / 2);
+      for (std::size_t t = 1; t < kCap; ++t)
+        for (std::size_t c = 1; c <= t; ++c)
+          v[t * (t + 1) / 2 + c] =
+              Fn{}(static_cast<double>(c) / static_cast<double>(t));
+      return v;
+    }();
+    return vals;
+  }
+
+  const double* vals_ = table().data();
 };
 
 }  // namespace xfa

@@ -18,8 +18,8 @@ using Word = std::uint64_t;
 /// FOIL information value of a rule covering p positives and n negatives.
 /// Counts are integral, so small (p, p+n) pairs index the ratio table
 /// directly; larger ones fall back to the bit-pattern memo. Both return the
-/// exact double log2(p / (p + n)) produced the first time (bit-identical).
-double foil_value(double p, double n, RatioMemo<Log2Fn>& ratio,
+/// exact double log2(p / (p + n)) computes (bit-identical).
+double foil_value(double p, double n, const RatioMemo<Log2Fn>& ratio,
                   Log2Memo& log2) {
   if (p <= 0) return -1e9;
   const double t = p + n;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -11,8 +12,11 @@
 #include <vector>
 
 #include "common/serial.h"
+#include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
 #include "ml/c45.h"
 #include "ml/linreg.h"
+#include "ml/log2_cache.h"
 #include "ml/naive_bayes.h"
 #include "ml/ripper.h"
 #include "sim/rng.h"
@@ -696,6 +700,44 @@ TEST_P(ClassifierParamTest, RefitOnSameObjectIsIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, ClassifierParamTest,
                          ::testing::Values(0, 1, 2));
+
+/// Slots of `memo` whose bits differ from computing Fn{}(c / t) directly,
+/// over every pair 0 < c <= t the table covers, starting at total `first_t`
+/// and stepping by `stride`.
+template <class Fn>
+std::size_t ratio_mismatches(const RatioMemo<Fn>& memo, double first_t,
+                             double stride) {
+  std::size_t mismatches = 0;
+  for (double t = first_t; RatioMemo<Fn>::covers(t); t += stride)
+    for (double c = 1; c <= t; ++c)
+      if (std::bit_cast<std::uint64_t>(memo(c, t)) !=
+          std::bit_cast<std::uint64_t>(Fn{}(c / t)))
+        ++mismatches;
+  return mismatches;
+}
+
+TEST(RatioMemo, EverySlotEqualsDirectComputation) {
+  EXPECT_TRUE(RatioMemo<Log2Fn>::covers(255));
+  EXPECT_FALSE(RatioMemo<Log2Fn>::covers(256));
+  EXPECT_EQ(ratio_mismatches(RatioMemo<Log2Fn>{}, 1, 1), 0u);
+  EXPECT_EQ(ratio_mismatches(RatioMemo<PLog2PFn>{}, 1, 1), 0u);
+}
+
+// Every fit on every pool thread reads the same per-process table, and pool
+// threads race to its first use; the function-local static makes exactly one
+// of them fill it (ThreadSanitizer checks the rest only read).
+TEST(RatioMemo, SharedTableFirstUseFromPoolThreads) {
+  constexpr std::size_t kTasks = 16;
+  ThreadPool pool(4);
+  std::vector<std::size_t> mismatches(kTasks, 0);
+  parallel_for(pool, kTasks, [&](std::size_t i) {
+    const double first_t = static_cast<double>(1 + i);
+    mismatches[i] = ratio_mismatches(RatioMemo<Log2Fn>{}, first_t, kTasks) +
+                    ratio_mismatches(RatioMemo<PLog2PFn>{}, first_t, kTasks);
+  });
+  for (std::size_t i = 0; i < kTasks; ++i)
+    EXPECT_EQ(mismatches[i], 0u) << "task " << i;
+}
 
 }  // namespace
 }  // namespace xfa

@@ -140,8 +140,9 @@ system_header_names() {
           {"atomic", {"atomic", "atomic_flag", "memory_order",
                       "memory_order_relaxed", "memory_order_acquire",
                       "memory_order_release", "memory_order_seq_cst"}},
-          {"bit", {"bit_cast", "popcount", "countl_zero", "countr_zero",
-                   "rotl", "rotr", "has_single_bit", "bit_ceil"}},
+          {"bit", {"bit_cast", "endian", "popcount", "countl_zero",
+                   "countr_zero", "rotl", "rotr", "has_single_bit",
+                   "bit_ceil"}},
           {"chrono", {"chrono"}},
           {"cmath", {"sqrt", "sqrtf", "pow", "exp", "log", "log2", "log10",
                      "sin", "cos", "tan", "atan2", "hypot", "floor", "ceil",
