@@ -43,14 +43,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  return experiment_configs(RoutingKind::Aodv, TransportKind::Udp,
-                            paper_mixed_options());
-}
-
 const PlanRegistrar registrar{"ablation_buckets",
                               "Ablation A: equal-frequency bucket count and relative-gap guard",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

@@ -43,8 +43,8 @@ int run_plan() {
       options.selection.top_k = k;
     }
 
-    // Wall-clock train/score outside the checkpoint helpers so the numbers
-    // are real retrain cost, never checkpoint hits.
+    // Train and score by hand rather than through evaluate(), so each phase
+    // gets its own wall-clock time.
     const auto train_start = Clock::now();
     Result<Detector> trained = train_detector_checked(
         data.train_normal, make_c45_factory(), options, threshold_trace);
@@ -86,16 +86,11 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  return experiment_configs(RoutingKind::Aodv, TransportKind::Udp,
-                            paper_mixed_options());
-}
-
 const PlanRegistrar registrar{
     "featsel_sweep",
     "Ablation F: recall/precision and train/score cost vs top-k feature "
     "selection",
-    run_plan, plan_units};
+    run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

@@ -28,8 +28,7 @@ ExperimentOptions varied_options() {
 
 /// The trace inventory for one variation case, laid out the way
 /// gather_inventory_checked() expects: training trace, normal evaluation
-/// traces, then attack traces. Shared by run() and the plan's shard-unit
-/// enumeration so the two cannot drift apart.
+/// traces, then attack traces.
 std::vector<ScenarioConfig> varied_configs(const ExperimentOptions& options,
                                            bool vary_mobility,
                                            bool vary_traffic) {
@@ -97,20 +96,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<xfa::ScenarioConfig> plan_units() {
-  const xfa::ExperimentOptions options = varied_options();
-  std::vector<xfa::ScenarioConfig> units;
-  for (const bool vary_mobility : {false, true})
-    for (const bool vary_traffic : {false, true})
-      for (xfa::ScenarioConfig& config :
-           varied_configs(options, vary_mobility, vary_traffic))
-        units.push_back(std::move(config));
-  return units;
-}
-
 const PlanRegistrar registrar{"ablation_generalization",
                               "Ablation D: cross-scenario generalization loss",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

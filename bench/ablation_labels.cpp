@@ -49,16 +49,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  // Both labelling policies consume the same traces: the policy is applied
-  // per caller and is not part of the cache key.
-  return experiment_configs(RoutingKind::Aodv, TransportKind::Udp,
-                            paper_mixed_options());
-}
-
 const PlanRegistrar registrar{"ablation_labels",
                               "Ablation E: onset-onwards vs active-sessions labelling",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

@@ -54,14 +54,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  return experiment_configs(RoutingKind::Aodv, TransportKind::Udp,
-                            paper_mixed_options());
-}
-
 const PlanRegistrar registrar{"ablation_periods",
                               "Ablation B: contribution of the 5/60/900 s sampling periods",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

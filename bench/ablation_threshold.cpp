@@ -57,14 +57,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  return experiment_configs(RoutingKind::Aodv, TransportKind::Udp,
-                            paper_mixed_options());
-}
-
 const PlanRegistrar registrar{"ablation_threshold",
                               "Ablation C: target false-alarm rate vs realized FAR/detection",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

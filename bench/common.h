@@ -16,22 +16,9 @@
 #include "eval/density.h"
 #include "eval/pr.h"
 #include "eval/series.h"
-#include "scenario/checkpoint.h"
 #include "scenario/pipeline.h"
 
 namespace xfa::bench {
-
-/// Appends one scenario's full trace inventory (the configs
-/// gather_experiment will request — scenario/pipeline.h experiment_configs)
-/// to a plan's shardable unit list (registry.h ExperimentPlan::units).
-inline void append_experiment_units(std::vector<ScenarioConfig>& units,
-                                    RoutingKind routing,
-                                    TransportKind transport,
-                                    const ExperimentOptions& options) {
-  for (ScenarioConfig& config :
-       experiment_configs(routing, transport, options))
-    units.push_back(std::move(config));
-}
 
 /// Everything a figure needs for one (scenario, classifier) cell.
 struct Cell {
@@ -42,26 +29,24 @@ struct Cell {
   const ExperimentData* data = nullptr;
 };
 
-/// Training and scoring go through the checkpoint-aware helpers: with no
-/// checkpoint store installed they are exactly train_detector/score_trace,
-/// with one (xfa_bench --checkpoint) every completed unit is stored and a
-/// resumed run loads it back bit-identically.
+/// Trains the detector on the training trace, calibrating its threshold on
+/// the first normal evaluation trace, and scores the remaining normal traces
+/// and every attack trace.
 inline Cell evaluate(const ExperimentData& data,
                      const ClassifierFactory& factory,
                      const DetectorOptions& detector_options = {}) {
   Cell cell;
   cell.data = &data;
-  Result<CheckpointedDetector> trained = train_detector_checkpointed(
+  Result<Detector> trained = train_detector_checked(
       data.train_normal, factory, detector_options,
       data.normal_eval.empty() ? nullptr : &data.normal_eval.front());
   XFA_CHECK(trained.ok()) << trained.status().to_string();
-  cell.detector = std::move(trained->detector);
+  cell.detector = std::move(*trained);
   for (std::size_t i = 1; i < data.normal_eval.size(); ++i)
-    cell.normal_scores.push_back(score_trace_checkpointed(
-        cell.detector, trained->unit_key, data.normal_eval[i]));
+    cell.normal_scores.push_back(
+        cell.detector.score_trace(data.normal_eval[i]));
   for (const RawTrace& trace : data.abnormal)
-    cell.abnormal_scores.push_back(
-        score_trace_checkpointed(cell.detector, trained->unit_key, trace));
+    cell.abnormal_scores.push_back(cell.detector.score_trace(trace));
   return cell;
 }
 

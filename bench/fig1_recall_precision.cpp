@@ -68,17 +68,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  std::vector<ScenarioConfig> units;
-  for (const ScenarioCombo& combo : paper_scenarios())
-    append_experiment_units(units, combo.routing, combo.transport,
-                            paper_mixed_options());
-  return units;
-}
-
 const PlanRegistrar registrar{"fig1",
                               "Figure 1: recall-precision curves (average probability), all scenarios/classifiers",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

@@ -110,18 +110,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  std::vector<ScenarioConfig> units;
-  for (const AttackKind kind :
-       {AttackKind::Blackhole, AttackKind::SelectiveDrop})
-    append_experiment_units(units, RoutingKind::Aodv, TransportKind::Udp,
-                            paper_single_attack_options(kind));
-  return units;
-}
-
 const PlanRegistrar registrar{"fig5",
                               "Figure 5: per-attack time series (black hole / dropping), AODV/UDP, C4.5",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

@@ -68,20 +68,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  // Label policy is not part of a config's cache key, so fig6 shares fig5's
-  // trace units exactly.
-  std::vector<ScenarioConfig> units;
-  for (const AttackKind kind :
-       {AttackKind::Blackhole, AttackKind::SelectiveDrop})
-    append_experiment_units(units, RoutingKind::Aodv, TransportKind::Udp,
-                            paper_single_attack_options(kind));
-  return units;
-}
-
 const PlanRegistrar registrar{"fig6",
                               "Figure 6: per-attack density distributions, AODV/UDP, C4.5",
-                              run_plan, plan_units};
+                              run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

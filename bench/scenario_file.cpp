@@ -106,17 +106,7 @@ struct ScenarioFileRegistrar {
       const std::string path = file.string();
       register_plan({"scn:" + file.stem().string(),
                      "Scenario file " + path,
-                     [path] { return run_scenario_file(path); },
-                     // One lowered config per file; parse failures surface
-                     // when the plan runs, so a broken file just has no
-                     // shardable units.
-                     [path]() -> std::vector<ScenarioConfig> {
-                       Result<ScenarioSpec> spec = load_scenario_file(path);
-                       if (!spec.ok()) return {};
-                       Result<ScenarioConfig> config = lower_spec(*spec);
-                       if (!config.ok()) return {};
-                       return {*config};
-                     }});
+                     [path] { return run_scenario_file(path); }});
     }
   }
 };

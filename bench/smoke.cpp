@@ -59,19 +59,9 @@ int run_plan() {
   return 0;
 }
 
-std::vector<ScenarioConfig> plan_units() {
-  std::vector<ScenarioConfig> units;
-  for (const ScenarioCombo& combo :
-       {ScenarioCombo{RoutingKind::Aodv, TransportKind::Udp, "AODV/UDP"},
-        ScenarioCombo{RoutingKind::Dsr, TransportKind::Tcp, "DSR/TCP"}})
-    append_experiment_units(units, combo.routing, combo.transport,
-                            smoke_options());
-  return units;
-}
-
 const PlanRegistrar registrar{
     "smoke", "Scaled-down end-to-end engine exercise (seconds, not minutes)",
-    run_plan, plan_units};
+    run_plan};
 
 }  // namespace
 }  // namespace xfa::bench

@@ -3,11 +3,11 @@
 #   1. plain Release with XFA_WERROR=ON (warnings are errors),
 #   2. ASan+UBSan with recovery disabled (any report aborts the test), and
 #   3. TSan over the concurrency suites (thread pool, task groups,
-#      single-flight, deadline guards, cache stress, the lock-free
-#      checkpoint store, parallel gather, engine determinism) —
+#      single-flight, deadline guards, cache stress, parallel gather,
+#      engine determinism) —
 # running the xfa_lint repo rules, the whole ctest suite (the hot-path
 # correctness cases and the quickstart example included) and the
-# scenario-file, sharded and supervised xfa_bench smokes in the first two
+# scenario-file and supervised xfa_bench smokes in the first two
 # passes. After the release pass it builds and self-tests the perf/
 # benchmark driver, which compiles src/ on its own, so an API change that
 # breaks it fails here, and checks one full-size run of every workload
@@ -15,11 +15,10 @@
 # Also after the release pass, a 5000-node AODV world must peak below
 # 128 MB RSS, so per-node state that grows with the node count fails too.
 # That gate is an addition: no earlier gate or bound is loosened for it.
-# After the sanitizer pass it re-runs the chaos / corruption /
-# checkpoint-store / crash-resume robustness suites with the cache forced
-# off (XFA_NO_CACHE) so every fault-injection,
-# artifact-parsing and kill/resume path is actually exercised under
-# ASan+UBSan. CI runs exactly this script.
+# After the sanitizer pass it re-runs the chaos / corruption / command-line
+# robustness suites with the cache forced off (XFA_NO_CACHE) so every
+# fault-injection, artifact-parsing and xfa_bench subprocess path is
+# actually exercised under ASan+UBSan. CI runs exactly this script.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -60,25 +59,14 @@ run_pass() {
   # plan wires it), so this exercises the whole element path.
   XFA_NO_CACHE=1 XFA_SCENARIO_DIR=examples/scenarios \
     "${build_dir}/bench/xfa_bench" scn:impersonation-tcp-faults
-  echo "=== ${name}: sharded-sweep smoke (2 shards via shard_launch.sh) ==="
-  # Exactly-once partition plus byte-identical merge through the multi-host
-  # launcher (both workers 'local' here); the exhaustive splits/race/litter
-  # coverage is ShardTest under ctest.
-  local shard_cache="${build_dir}/shard-smoke-cache"
-  rm -rf "${shard_cache}"
-  mkdir -p "${shard_cache}"
-  scripts/shard_launch.sh --bench="${build_dir}/bench/xfa_bench" \
-    --cache="${shard_cache}" --hosts=local,local --fast \
-    --merge-out="${build_dir}/shard-merged.txt" smoke
-  XFA_FAST=1 XFA_NO_CACHE=1 \
-    "${build_dir}/bench/xfa_bench" smoke > "${build_dir}/shard-unsharded.txt"
-  cmp "${build_dir}/shard-merged.txt" "${build_dir}/shard-unsharded.txt"
   echo "=== ${name}: supervised smoke (deadline guard changes no bytes) ==="
   # Every trace simulation runs under a live DeadlineGuard with a budget it
-  # never reaches; the output must match the unsupervised run above.
+  # never reaches; the output must match an unsupervised run.
+  XFA_FAST=1 XFA_NO_CACHE=1 \
+    "${build_dir}/bench/xfa_bench" smoke > "${build_dir}/smoke-plain.txt"
   XFA_FAST=1 XFA_NO_CACHE=1 XFA_TRACE_DEADLINE_MS=600000 \
     "${build_dir}/bench/xfa_bench" smoke > "${build_dir}/smoke-supervised.txt"
-  cmp "${build_dir}/smoke-supervised.txt" "${build_dir}/shard-unsharded.txt"
+  cmp "${build_dir}/smoke-supervised.txt" "${build_dir}/smoke-plain.txt"
   echo "=== ${name}: ctest ==="
   # Includes the hot-path correctness cases (grid vs brute force, scheduler
   # counters, mobility cache, refit determinism, serial vs parallel score
@@ -137,10 +125,10 @@ run_pass "asan+ubsan" build-check-sanitize \
   -DXFA_SANITIZE="address;undefined"
 
 # Robustness gate: the corruption sweeps (cache_robustness_test,
-# model_io_test, the CheckpointStore torn/foreign unit-file cases), the
-# crash-injection kill/resume harness (crash_resume_test — SIGKILLed
-# xfa_bench subprocesses, all sanitized), the fault-injection layer
-# (faults_test, degraded_cfa_test), the determinism-under-faults guard, and
+# model_io_test), the xfa_bench command-line harness (bench_cli_test —
+# racing and usage-error xfa_bench subprocesses, all sanitized), the
+# fault-injection layer (faults_test, degraded_cfa_test), the
+# determinism-under-faults guard, and
 # the channel's pooled arrival records (the ChannelTest re-entrancy cases and
 # the FanOut batched-vs-per-receiver world comparison), and the block scoring
 # kernels and branch-free discretizer, which index tables and cut rows by
@@ -157,12 +145,11 @@ run_pass "asan+ubsan" build-check-sanitize \
 # on erase (NeighborTable), and the CRC-64 kernel, which reads its input as
 # 8-byte words at any alignment (Crc64),
 # must all hold with sanitizers armed and caching disabled — no on-disk bytes
-# may crash the process, no kill point may lose or corrupt a stored
-# checkpoint unit, and no chaos, arrival-pool, kernel, grid, flood-cache,
-# neighbor-table or checksum path may contain UB.
-echo "=== asan+ubsan: chaos/corruption/crash robustness (cache disabled) ==="
+# may crash the process, and no chaos, arrival-pool, kernel, grid,
+# flood-cache, neighbor-table or checksum path may contain UB.
+echo "=== asan+ubsan: chaos/corruption/CLI robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|CheckpointStore|CrashResume|Shard|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache|NeighborTable|Crc64' \
+  -R 'CacheRobustness|ModelIo|ModelStore|BenchCli|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache|NeighborTable|Crc64' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be
@@ -179,7 +166,7 @@ cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
 cmake --build build-check-tsan -j "${JOBS}"
 echo "=== tsan: concurrency suites ==="
 ctest --test-dir build-check-tsan -j "${JOBS}" \
-  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|CheckpointStore|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|RipperTest|RatioMemo|DatasetViewTest|BlockKernel|DiscretizerBranchless|Deadline|Shard|FeatSel' \
+  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|RipperTest|RatioMemo|DatasetViewTest|BlockKernel|DiscretizerBranchless|Deadline|FeatSel' \
   --output-on-failure
 
 echo "All checks passed."

@@ -1,6 +1,5 @@
 #include "common/atomic_file.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -319,21 +318,4 @@ Status ArtifactStore::store(
   return Status::Ok();
 }
 
-void ArtifactStore::clear() const {
-  constexpr std::size_t kHashDigits = 16;
-  std::error_code ec;
-  fs::directory_iterator it(directory_, ec);
-  if (ec) return;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() != kHashDigits + extension_.size() ||
-        name.compare(kHashDigits, std::string::npos, extension_) != 0)
-      continue;
-    if (!std::all_of(name.begin(), name.begin() + kHashDigits, [](char c) {
-          return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        }))
-      continue;
-    fs::remove(entry.path(), ec);
-  }
-}
 }  // namespace xfa

@@ -1,9 +1,9 @@
 // Crash-safe file publication and CRC-framed artifact I/O.
 //
-// Every artifact writer in the tree (trace cache, model store, checkpoint
-// store) funnels through this file — the xfa_lint `atomic-write` rule
-// rejects raw std::ofstream / fopen anywhere else under src/ — so the
-// crash-safety invariants live in exactly one place:
+// Every artifact writer in the tree (trace cache, model store) funnels
+// through this file — the xfa_lint `atomic-write` rule rejects raw
+// std::ofstream / fopen anywhere else under src/ — so the crash-safety
+// invariants live in exactly one place:
 //
 //   * atomic_write_file: bytes go to a per-writer-unique temp file
 //     (`<path>.<pid>.<seq>.tmp`), are fsync'd, then renamed onto `path`.
@@ -11,14 +11,13 @@
 //     never a prefix, for any kill point.
 //   * write_framed_file / read_framed_payload: the shared artifact framing
 //     (magic, u64 payload size, u64 CRC64 of the payload, payload) used by
-//     every artifact: XFAMDL1 model files directly, XFATRC3 traces and
-//     XFACKP1 checkpoint units through ArtifactStore. The reader validates
-//     the declared size against the real file size before allocating and
-//     the checksum before parsing, so no on-disk bytes can crash a loader.
+//     every artifact: XFAMDL1 model files directly, XFATRC3 traces through
+//     ArtifactStore. The reader validates the declared size against the
+//     real file size before allocating and the checksum before parsing, so
+//     no on-disk bytes can crash a loader.
 //   * ArtifactStore: a directory of keyed framed artifacts, one file per
 //     key, with fnv1a file naming, hash-collision detection and quarantine
-//     of corrupt files. The trace cache and the checkpoint store are both
-//     instances of it.
+//     of corrupt files. The trace cache is an instance of it.
 //   * sweep_stale_temps: deletes `*.tmp` litter abandoned by writers whose
 //     embedded pid is no longer alive.
 #pragma once
@@ -69,8 +68,8 @@ void sweep_stale_temps(const std::string& directory);
 /// A directory of keyed artifacts: one framed file per key, named
 /// `<fnv1a(key) as 16 hex digits><extension>`, whose payload starts with the
 /// key itself (a u64-length string, common/serial.h) followed by the body a
-/// codec writes. The trace cache (XFATRC3) and the checkpoint store are both
-/// this class under their own magic; neither touches files directly.
+/// codec writes. The trace cache (XFATRC3) is this class under its own
+/// magic and never touches files directly.
 ///
 /// Every unit is a pure function of its key, so the store needs no locks:
 /// concurrent stores of one key (threads or processes) publish identical
@@ -103,11 +102,6 @@ class ArtifactStore {
   /// (sweep_stale_temps).
   Status store(const std::string& key,
                const std::function<Status(std::string& out)>& encode) const;
-
-  /// Deletes every artifact file of this store's naming scheme in the
-  /// directory. Other files (another store's extension, quarantined
-  /// `.corrupt` copies, anything foreign) are left alone.
-  void clear() const;
 
  private:
   std::string directory_;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/parse.h"
+#include "exec/thread_pool.h"
 
 namespace xfa {
 namespace {
@@ -15,14 +16,15 @@ bool flag_set(const char* name) {
 }
 
 /// Overwrites `*field` with `name`'s value when it is a strict unsigned
-/// integer (common/parse.h) that fits the field; a missing, malformed or
+/// integer (common/parse.h) no larger than `limit`; a missing, malformed or
 /// out-of-range value keeps the documented default.
 template <typename T>
-void read_unsigned(const char* name, T* field) {
+void read_unsigned(const char* name, T* field,
+                   T limit = std::numeric_limits<T>::max()) {
   const char* value = std::getenv(name);
   if (value == nullptr) return;
   const Result<std::uint64_t> parsed = parse_u64(value);
-  if (parsed.ok() && *parsed <= std::uint64_t{std::numeric_limits<T>::max()})
+  if (parsed.ok() && *parsed <= static_cast<std::uint64_t>(limit))
     *field = static_cast<T>(*parsed);
 }
 
@@ -35,9 +37,8 @@ EnvSnapshot read_environment() {
     snapshot.cache_dir = dir;
   }
   read_unsigned("XFA_SCENARIO_RETRIES", &snapshot.scenario_retries);
-  read_unsigned("XFA_THREADS", &snapshot.threads);
+  read_unsigned("XFA_THREADS", &snapshot.threads, kMaxThreads);
   read_unsigned("XFA_TRACE_DEADLINE_MS", &snapshot.trace_deadline_ms);
-  read_unsigned("XFA_CRASH_AFTER_UNITS", &snapshot.crash_after_units);
   return snapshot;
 }
 

@@ -24,17 +24,14 @@ struct EnvSnapshot {
   /// XFA_SCENARIO_RETRIES: bounded retries for degenerate scenario runs.
   int scenario_retries = 2;
   /// XFA_THREADS: default worker count for the shared pool; 0 = hardware
-  /// concurrency (resolved by the pool, src/exec/thread_pool.h).
+  /// concurrency (resolved by the pool, src/exec/thread_pool.h). A value
+  /// above kMaxThreads keeps the default.
   std::size_t threads = 0;
   /// XFA_TRACE_DEADLINE_MS: soft wall-clock budget for one trace simulation
   /// attempt (src/exec/deadline.h); 0 = no deadline. The scenario runner
   /// doubles the budget on each kDeadlineExceeded retry, reusing the same
   /// seed so the eventual trace is byte-identical to an undeadlined run.
   int trace_deadline_ms = 0;
-  /// XFA_CRASH_AFTER_UNITS: crash-injection test hook — the checkpoint
-  /// store raises SIGKILL after this many durably stored units
-  /// (0 = disabled).
-  int crash_after_units = 0;
 };
 
 /// The snapshot, captured on first use (thread-safe via magic static).

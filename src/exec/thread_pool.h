@@ -28,6 +28,12 @@
 
 namespace xfa {
 
+/// Largest worker count a pool may be asked for, by `xfa_bench --threads`
+/// or XFA_THREADS: each worker is an OS thread, so a typo must not start
+/// millions of them. A larger --threads is a usage error; a larger
+/// XFA_THREADS keeps the default (common/env.h).
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Cumulative per-task execution counters (monotone over a pool's life).
 struct ExecStats {
   std::uint64_t tasks_executed = 0;

@@ -53,9 +53,7 @@ ExperimentOptions scaled(ExperimentOptions options);
 /// scenario, in presentation order: the training trace, the normal
 /// evaluation traces, then the attack traces. Applies the same fast-mode
 /// scaling as the gather, so the returned configs carry the cache keys the
-/// gather will hit. This is the single source of truth sharded execution
-/// partitions over (xfa_bench --shard=K/N): a shard worker simulates exactly
-/// these configs into the shared trace cache, and the merge run loads them.
+/// gather will hit.
 std::vector<ScenarioConfig> experiment_configs(RoutingKind routing,
                                                TransportKind transport,
                                                const ExperimentOptions& options);

@@ -13,10 +13,8 @@
 #include "exec/single_flight.h"
 #include "net/node.h"
 #include "scenario/cache.h"
-#include "scenario/checkpoint.h"
 #include "scenario/graph/builder.h"
 #include "scenario/graph/registry.h"
-#include "scenario/trace_serial.h"
 #include "sim/simulator.h"
 
 namespace xfa {
@@ -176,57 +174,26 @@ Result<ScenarioResult> simulate_with_deadline(const ScenarioConfig& config,
   return result;
 }
 
-/// The checkpoint unit key for a trace (namespaced cache key).
-std::string trace_unit_key(const std::string& key) { return "trace/" + key; }
-
-/// Checkpoint, then cache, then simulate (with retries), then store — for
-/// one config, labels not yet applied. This is the section the single-flight
-/// guard protects: everything in here is a pure function of the config
-/// (retries included), so one execution serves every concurrent requester
-/// of the same key. Shard workers never share a key (the shard partition is
-/// exact), and a redundant racing store publishes identical bytes, so no
-/// cross-process coordination is needed.
+/// Cache, then simulate (with retries), then store — for one config, labels
+/// not yet applied. This is the section the single-flight guard protects:
+/// everything in here is a pure function of the config (retries included),
+/// so one execution serves every concurrent requester of the same key. Two
+/// processes that simulate one key publish identical bytes by atomic rename,
+/// so no cross-process coordination is needed.
 Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
                                         const std::string& key) {
-  // Resume path: a stored trace unit short-circuits both the cache and the
-  // simulation. The payload is CRC-guarded by the store; the semantic
-  // validation below catches units written by older builds.
-  CheckpointStore* checkpoint = checkpoint_store();
-  if (checkpoint != nullptr) {
-    std::string payload;
-    ScenarioResult stored;
-    if (checkpoint->lookup(trace_unit_key(key), payload) &&
-        parse_scenario_payload(payload, stored) &&
-        validate_scenario_result(stored).ok()) {
-      return stored;
-    }
-  }
-  // Checkpoints a finished trace so a resumed run skips the cache entirely.
-  const auto checkpoint_trace = [checkpoint,
-                                 &key](const ScenarioResult& result) {
-    if (checkpoint == nullptr) return;
-    std::string payload;
-    if (append_scenario_payload(payload, result).ok())
-      (void)checkpoint->append(trace_unit_key(key), payload);
-  };
   // Constructed per call (cheap: reads of the env snapshot) so tests can
   // toggle XFA_NO_CACHE between scenarios via refresh_env_for_testing().
   const TraceCache cache;
   if (Result<ScenarioResult> cached = cache.load(key); cached.ok()) {
     // A checksum-valid artifact can still be semantically degenerate (stored
     // by an older build with laxer validation); treat it like a miss.
-    if (validate_scenario_result(*cached).ok()) {
-      checkpoint_trace(*cached);
-      return std::move(*cached);
-    }
+    if (validate_scenario_result(*cached).ok()) return std::move(*cached);
   }
-  // Strict cache-only mode (sharded merge): a miss here means the shard that
-  // owned this unit never finished; simulating it now would silently turn a
-  // merge into a partial re-run, so fail loudly instead.
+  // Cache-only mode: a miss is an error naming the key, never a simulation.
   if (require_cached_traces()) {
     return Status{StatusCode::kNotFound,
-                  "trace not in cache under --merge (did every shard worker "
-                  "complete?): " + key};
+                  "trace not in cache (cache-only mode): " + key};
   }
   // kNotFound falls through to simulation; kCorruptArtifact additionally
   // quarantined the bad file inside load() — regeneration is the self-heal.
@@ -267,7 +234,6 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
       // so the key still maps to exactly one trace. A failed store only
       // costs the next caller a re-simulation.
       cache.store(key, *simulated);
-      checkpoint_trace(*simulated);
       return std::move(*simulated);
     }
     if (++degenerate_attempts > retries) break;

@@ -55,8 +55,8 @@ Status validate_scenario_result(const ScenarioResult& result);
 /// in-flight single-flight guard keyed on the cache key makes concurrent
 /// requests for the same trace simulate exactly once — each caller then
 /// labels its own copy per its policy. Across processes there is no
-/// handshake: shard workers own disjoint keys, and two processes that do
-/// simulate one key publish identical bytes by atomic rename.
+/// handshake: two processes that simulate one key publish identical bytes
+/// by atomic rename, and one artifact survives.
 ///
 /// Recovery path: a corrupt cache artifact is quarantined and the trace
 /// regenerated; a degenerate run is retried up to XFA_SCENARIO_RETRIES
@@ -70,18 +70,14 @@ Status validate_scenario_result(const ScenarioResult& result);
 /// the SAME seed and a doubled budget (determinism: the retry must produce
 /// the trace the slow run would have), up to the same retry count. Returns
 /// kDeadlineExceeded when every attempt overran.
-///
-/// Checkpoint integration: when a checkpoint store is installed
-/// (scenario/checkpoint.h), completed traces are stored as checkpoint units
-/// and a resumed run loads them back instead of re-simulating.
 Result<ScenarioResult> run_scenario_checked(
     const ScenarioConfig& config, LabelPolicy policy = LabelPolicy::OnsetOnwards);
 
-/// Strict cache-only mode for sharded merges (xfa_bench --merge): while set,
-/// run_scenario_checked never simulates — a trace missing from both the
-/// checkpoint store and the cache is a kNotFound error naming the key,
-/// meaning some shard worker has not completed. Process-wide; flip it before
-/// any plan runs.
+/// Cache-only mode: while set, run_scenario_checked never simulates — a
+/// trace missing from the cache is a kNotFound error naming the key, and
+/// nothing is written. A caller that must run on stored traces only (a
+/// benchmark that times detection, not simulation) turns it on.
+/// Process-wide; flip it before any plan runs.
 void set_require_cached_traces(bool require);
 bool require_cached_traces();
 

@@ -1,6 +1,5 @@
-// Serialization of a ScenarioResult body, shared by the trace cache
-// (scenario/cache.h) and the checkpoint store (scenario/checkpoint.h). The
-// key is not part of the body: the keyed artifact store
+// Serialization of a ScenarioResult body, the codec of the trace cache
+// (scenario/cache.h). The key is not part of the body: the keyed artifact store
 // (common/atomic_file.h ArtifactStore) writes it in front and checks it on
 // load.
 //

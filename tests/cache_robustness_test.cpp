@@ -1,6 +1,7 @@
 // Corruption-sweep coverage for the self-healing trace cache (XFATRC3):
 // no on-disk bytes — truncated, bit-flipped, or hostile — may crash or abort
 // the process; every invalid artifact must end in quarantine + regeneration.
+// Also the runner's cache-only mode, which loads but never simulates.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,6 +17,7 @@
 #include "common/env.h"
 #include "scenario/cache.h"
 #include "scenario/runner.h"
+#include "scenario/trace_serial.h"
 
 namespace xfa {
 namespace {
@@ -308,6 +310,46 @@ TEST_F(CacheRobustnessTest, PipelineRegeneratesCorruptedArtifact) {
   // The regenerated artifact is valid again.
   const Result<ScenarioResult> reloaded = cache.load(config.cache_key());
   EXPECT_TRUE(reloaded.ok()) << reloaded.status().to_string();
+}
+
+// Cache-only mode (set_require_cached_traces): a miss is kNotFound naming
+// the key and writes nothing; a hit returns exactly the stored trace.
+TEST_F(CacheRobustnessTest, CacheOnlyModeLoadsButNeverSimulates) {
+  setenv("XFA_CACHE_DIR", dir_.c_str(), 1);
+  refresh_env_for_testing();
+  ScenarioConfig config;
+  config.node_count = 15;
+  config.duration = 150;
+  config.seed = 43;
+  config.traffic.max_connections = 8;
+  const std::string key = config.cache_key();
+
+  struct CacheOnly {
+    CacheOnly() { set_require_cached_traces(true); }
+    ~CacheOnly() { set_require_cached_traces(false); }
+  };
+  {
+    const CacheOnly cache_only;
+    const Result<ScenarioResult> missing = run_scenario_checked(config);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(missing.status().message().find(key), std::string::npos)
+        << missing.status().to_string();
+    EXPECT_TRUE(std::filesystem::is_empty(dir_));
+  }
+
+  const Result<ScenarioResult> simulated = run_scenario_checked(config);
+  ASSERT_TRUE(simulated.ok()) << simulated.status().to_string();
+  std::string want;
+  ASSERT_TRUE(append_scenario_payload(want, *simulated).ok());
+
+  const CacheOnly cache_only;
+  const Result<ScenarioResult> cached = run_scenario_checked(config);
+  ASSERT_TRUE(cached.ok()) << cached.status().to_string();
+  std::string got;
+  ASSERT_TRUE(append_scenario_payload(got, *cached).ok());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(cached->trace.labels, simulated->trace.labels);
 }
 
 // --- Stale-temp sweep (pid-aware) -----------------------------------------

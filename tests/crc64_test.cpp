@@ -1,6 +1,6 @@
 // CRC-64/XZ kernel: the slicing-by-16 loop must equal the bit-at-a-time
 // definition for every length, start offset and seed, so the checksum of
-// every stored XFATRC3/XFAMDL1/XFACKP1 artifact stays what it was.
+// every stored XFATRC3/XFAMDL1 artifact stays what it was.
 #include <gtest/gtest.h>
 
 #include <cstddef>

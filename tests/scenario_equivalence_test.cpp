@@ -3,7 +3,7 @@
 // instead loaded from an examples/scenarios/*.scn file — same RNG stream
 // assignment, same construction order — at pool sizes 1 and 8. Identity is
 // checked on the serialized trace body (scenario/trace_serial.h), the same
-// bytes the cache and the checkpoint store persist behind the key.
+// bytes the trace cache persists behind the key.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

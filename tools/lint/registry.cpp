@@ -76,8 +76,8 @@ const std::vector<RuleInfo>& rule_registry() {
        "Modules are layered common/exec < sim/net/mobility < routing/"
        "transport/attacks/faults/audit < features/ml/cfa/eval/scenario. An "
        "upward include couples a lower layer to policy above it, which is "
-       "how simulation internals grow detection dependencies and sharded "
-       "execution becomes impossible to link in isolation."},
+       "how simulation internals grow detection dependencies and a lower "
+       "layer can no longer be built or tested in isolation."},
       {"no-mutable-global",
        "no mutable namespace-scope state outside src/exec and common/env.*",
        "src/** except src/exec, src/common/env.*",
