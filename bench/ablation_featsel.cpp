@@ -52,19 +52,14 @@ int run_plan() {
     XFA_CHECK(trained.ok()) << trained.status().to_string();
 
     const auto score_start = Clock::now();
-    std::size_t scored_rows = 0;
     Cell cell;
     cell.data = &data;
     cell.detector = std::move(*trained);
-    for (std::size_t i = 1; i < data.normal_eval.size(); ++i) {
+    for (std::size_t i = 1; i < data.normal_eval.size(); ++i)
       cell.normal_scores.push_back(
           cell.detector.score_trace(data.normal_eval[i]));
-      scored_rows += data.normal_eval[i].size();
-    }
-    for (const RawTrace& trace : data.abnormal) {
+    for (const RawTrace& trace : data.abnormal)
       cell.abnormal_scores.push_back(cell.detector.score_trace(trace));
-      scored_rows += trace.size();
-    }
     const double score_s = seconds_since(score_start);
 
     const PrCurve curve = pr_curve(cell, ScoreKind::Probability);
@@ -75,7 +70,6 @@ int run_plan() {
                 train_s * 1e3, score_s * 1e3,
                 cell.detector.model.submodel_count(),
                 curve.area_above_diagonal(), best.recall, best.precision);
-    (void)scored_rows;
   }
   std::printf(
       "\nReading: training cost collapses with k (each of the k sub-models\n"

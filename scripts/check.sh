@@ -124,8 +124,8 @@ run_pass "asan+ubsan" build-check-sanitize \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DXFA_SANITIZE="address;undefined"
 
-# Robustness gate: the corruption sweeps (cache_robustness_test,
-# model_io_test), the xfa_bench command-line harness (bench_cli_test —
+# Robustness gate: the trace-cache corruption sweeps
+# (cache_robustness_test), the xfa_bench command-line harness (bench_cli_test —
 # racing and usage-error xfa_bench subprocesses, all sanitized), the
 # fault-injection layer (faults_test, degraded_cfa_test), the
 # determinism-under-faults guard, and
@@ -149,7 +149,7 @@ run_pass "asan+ubsan" build-check-sanitize \
 # flood-cache, neighbor-table or checksum path may contain UB.
 echo "=== asan+ubsan: chaos/corruption/CLI robustness (cache disabled) ==="
 XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
-  -R 'CacheRobustness|ModelIo|ModelStore|BenchCli|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache|NeighborTable|Crc64' \
+  -R 'CacheRobustness|BenchCli|FaultPlan|FaultInjector|FaultScenario|DegradedCfa|DegradedPipeline|Determinism|FeatSel|ChannelTest|FanOut|BlockKernel|RipperTest|DatasetViewTest|DiscretizerBranchless|DsrRouteCache|DsrAgent|NeighborIndexTest|FloodIdCache|NeighborTable|Crc64' \
   --output-on-failure
 
 # Concurrency gate: the execution layer and everything built on it must be

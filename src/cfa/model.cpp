@@ -7,10 +7,8 @@
 #include <tuple>
 
 #include "common/check.h"
-#include "common/serial.h"
 #include "exec/parallel_for.h"
 #include "ml/dataset_view.h"
-#include "ml/model_io.h"
 
 namespace xfa {
 
@@ -246,166 +244,6 @@ std::vector<EventScore> CrossFeatureModel::score_all(
                 scores.data() + first);
   });
   return scores;
-}
-
-namespace {
-
-/// Version tag for the feature-selection record inside the CFA payload
-/// (DESIGN.md §16). Bumped whenever the record layout changes; an unknown
-/// version fails soft as kCorruptArtifact, which the model store answers
-/// with quarantine + transparent retrain.
-constexpr std::uint32_t kSelectionRecordVersion = 1;
-
-}  // namespace
-
-Status CrossFeatureModel::save_payload(SerialWriter& out) const {
-  if (!trained())
-    return {StatusCode::kInvalidArgument, "save of an untrained model"};
-  out.size(schema_width_);
-  out.sizes(label_columns_);
-  out.sizes(skipped_columns_);
-  // Versioned feature-selection record: the config train() ran with, the
-  // full ranking (descending score) and selection's share of the skipped
-  // columns, so a reloaded model reports the same selection()/ranking()/
-  // selected_out_columns() and scores byte-identically.
-  out.pod(kSelectionRecordVersion);
-  out.pod(static_cast<std::uint8_t>(selection_config_.ranker));
-  out.size(selection_config_.top_k);
-  out.pod(selection_config_.min_score);
-  out.pod(selection_config_.holdout_fraction);
-  out.size(selection_config_.max_rank_rows);
-  out.pod(static_cast<std::uint8_t>(ranking_.ranker));
-  out.size(ranking_.ranked.size());
-  for (const RankedFeature& feature : ranking_.ranked) {
-    out.size(feature.column);
-    out.pod(feature.score);
-  }
-  out.sizes(selected_out_);
-  // Sub-model count == label_columns_.size(); no separate field to disagree.
-  for (const auto& submodel : submodels_)
-    if (Status s = save_classifier(*submodel, out); !s.ok()) return s;
-  return Status::Ok();
-}
-
-Status CrossFeatureModel::load_payload(SerialReader& in) {
-  // Far beyond any real feature schema (~150 columns) but small enough that
-  // a hostile width cannot drive giant allocations downstream.
-  constexpr std::size_t kMaxSchemaWidth = 1 << 16;
-  label_columns_.clear();
-  skipped_columns_.clear();
-  submodels_.clear();
-  selection_config_ = FeatureSelectionConfig{};
-  ranking_ = FeatureRanking{};
-  selected_out_.clear();
-  max_dist_size_ = 0;
-  schema_width_ = 0;
-
-  std::size_t schema_width = 0;
-  std::vector<std::size_t> label_columns, skipped_columns;
-  if (!in.read_size(schema_width) || schema_width == 0 ||
-      schema_width > kMaxSchemaWidth)
-    return {StatusCode::kCorruptArtifact, "cfa: bad schema width"};
-  if (!in.read_sizes(label_columns) || label_columns.empty())
-    return {StatusCode::kCorruptArtifact, "cfa: bad label columns"};
-  if (!in.read_sizes(skipped_columns))
-    return {StatusCode::kCorruptArtifact, "cfa: bad skipped columns"};
-  for (const std::size_t col : label_columns)
-    if (col >= schema_width)
-      return {StatusCode::kCorruptArtifact, "cfa: label column out of range"};
-  // Skipped columns legitimately sit above the *trained* schema width (a
-  // top-k cut drops high columns, and schema_width_ spans only survivors);
-  // no scoring path reads them, so only the hostile-width cap applies.
-  for (const std::size_t col : skipped_columns)
-    if (col >= kMaxSchemaWidth)
-      return {StatusCode::kCorruptArtifact,
-              "cfa: skipped column out of range"};
-
-  // Feature-selection record. Pre-record files fail here as corrupt, which
-  // the store answers with quarantine + retrain — the same self-healing
-  // contract every other layout change has used.
-  std::uint32_t selection_version = 0;
-  if (!in.read_pod(selection_version) ||
-      selection_version != kSelectionRecordVersion)
-    return {StatusCode::kCorruptArtifact, "cfa: bad selection version"};
-  FeatureSelectionConfig selection;
-  std::uint8_t config_ranker = 0;
-  if (!in.read_pod(config_ranker) || config_ranker >= kFeatureRankerCount)
-    return {StatusCode::kCorruptArtifact, "cfa: bad selection ranker"};
-  selection.ranker = static_cast<FeatureRanker>(config_ranker);
-  if (!in.read_size(selection.top_k) ||
-      !in.read_pod(selection.min_score) ||
-      !in.read_pod(selection.holdout_fraction) ||
-      !in.read_size(selection.max_rank_rows))
-    return {StatusCode::kCorruptArtifact, "cfa: bad selection config"};
-  if (!std::isfinite(selection.min_score) ||
-      !std::isfinite(selection.holdout_fraction))
-    return {StatusCode::kCorruptArtifact, "cfa: bad selection config"};
-
-  FeatureRanking ranking;
-  std::uint8_t ranking_ranker = 0;
-  std::size_t ranked_count = 0;
-  if (!in.read_pod(ranking_ranker) || ranking_ranker >= kFeatureRankerCount)
-    return {StatusCode::kCorruptArtifact, "cfa: bad ranking ranker"};
-  ranking.ranker = static_cast<FeatureRanker>(ranking_ranker);
-  // Ranked columns cover every non-degenerate candidate — including the ones
-  // selection dropped above the trained width — so they are bounded by the
-  // hostile-width cap, and must be distinct. Checked before the allocation.
-  if (!in.read_size(ranked_count) || ranked_count > kMaxSchemaWidth)
-    return {StatusCode::kCorruptArtifact, "cfa: bad ranking count"};
-  ranking.ranked.resize(ranked_count);
-  std::vector<bool> ranked_seen(kMaxSchemaWidth, false);
-  for (std::size_t i = 0; i < ranked_count; ++i) {
-    RankedFeature& feature = ranking.ranked[i];
-    if (!in.read_size(feature.column) || !in.read_pod(feature.score))
-      return {StatusCode::kCorruptArtifact, "cfa: bad ranking entry"};
-    if (feature.column >= kMaxSchemaWidth || ranked_seen[feature.column])
-      return {StatusCode::kCorruptArtifact, "cfa: bad ranking column"};
-    ranked_seen[feature.column] = true;
-    // Scores are stored in ranking order: finite and non-increasing.
-    if (!std::isfinite(feature.score) ||
-        (i > 0 && feature.score > ranking.ranked[i - 1].score))
-      return {StatusCode::kCorruptArtifact, "cfa: bad ranking score"};
-  }
-
-  std::vector<std::size_t> selected_out;
-  if (!in.read_sizes(selected_out))
-    return {StatusCode::kCorruptArtifact, "cfa: bad selected-out columns"};
-  for (const std::size_t col : selected_out) {
-    // Selection casualties are by construction a subset of the skipped
-    // columns (already bounds-checked above); anything else cannot have come
-    // from save_payload.
-    if (std::find(skipped_columns.begin(), skipped_columns.end(), col) ==
-        skipped_columns.end())
-      return {StatusCode::kCorruptArtifact,
-              "cfa: selected-out column not skipped"};
-  }
-
-  std::vector<std::unique_ptr<Classifier>> submodels;
-  submodels.reserve(label_columns.size());
-  std::size_t max_dist_size = 0;
-  for (std::size_t i = 0; i < label_columns.size(); ++i) {
-    Result<std::unique_ptr<Classifier>> loaded =
-        load_classifier(in, schema_width);
-    if (!loaded.ok()) return loaded.status();
-    // The scratch every scoring path sizes from max_dist_size_ must cover
-    // this sub-model's distribution width, so the width comes from the
-    // restored model itself, not from a storable (forgeable) field.
-    const std::size_t cardinality = (*loaded)->label_cardinality();
-    if (cardinality == 0)
-      return {StatusCode::kCorruptArtifact, "cfa: unfitted sub-model"};
-    max_dist_size = std::max(max_dist_size, cardinality);
-    submodels.push_back(std::move(*loaded));
-  }
-
-  schema_width_ = schema_width;
-  label_columns_ = std::move(label_columns);
-  skipped_columns_ = std::move(skipped_columns);
-  submodels_ = std::move(submodels);
-  selection_config_ = selection;
-  ranking_ = std::move(ranking);
-  selected_out_ = std::move(selected_out);
-  max_dist_size_ = max_dist_size;
-  return Status::Ok();
 }
 
 void CrossFeatureRegressionModel::train(

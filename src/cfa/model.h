@@ -122,23 +122,6 @@ class CrossFeatureModel {
   /// Verdicts sorted by ascending probability (most anomalous first).
   std::vector<SubmodelVerdict> explain(const std::vector<int>& row) const;
 
-  /// Serializes the trained ensemble — label columns, skipped columns, the
-  /// versioned feature-selection record (config, ranked scores, surviving
-  /// column ids) and every sub-model (via ml/model_io.h) — so
-  /// load_payload() restores a model whose score()/score_all()/explain()
-  /// outputs are bit-identical.
-  /// kInvalidArgument when untrained. Part of the XFAMDL1 artifact payload
-  /// (scenario/model_store.h).
-  Status save_payload(SerialWriter& out) const;
-
-  /// Restores state written by save_payload. Every column index is bounds-
-  /// checked against the stored schema width, and the scoring-scratch width
-  /// is recomputed from the restored sub-models (never trusted from disk),
-  /// so a hostile payload yields kCorruptArtifact — never an abort or an
-  /// out-of-bounds access at scoring time. On failure the model is left
-  /// untrained.
-  Status load_payload(SerialReader& in);
-
   /// Scores every row of a trace/dataset (row-major; rows at least
   /// schema_width() wide), transposing one block at a time.
   std::vector<EventScore> score_all(

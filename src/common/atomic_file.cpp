@@ -96,9 +96,9 @@ bool parse_temp_pid(const std::string& filename, unsigned long long& pid) {
 /// Starts a frame: the magic plus zeroed size and CRC fields, which
 /// seal_frame fills in once the payload behind them is complete. Writers
 /// append the payload straight into this buffer, so the frame costs no copy.
-std::string open_frame(std::string_view magic, std::size_t payload_reserve) {
+std::string open_frame(std::string_view magic) {
   std::string blob;
-  blob.reserve(magic.size() + kFrameLengthFields + payload_reserve);
+  blob.reserve(magic.size() + kFrameLengthFields);
   blob.append(magic.data(), magic.size());
   blob.append(kFrameLengthFields, '\0');
   return blob;
@@ -114,6 +114,22 @@ void seal_frame(std::string& blob, std::size_t magic_size) {
   std::memcpy(blob.data() + magic_size, &payload_size, sizeof(payload_size));
   std::memcpy(blob.data() + magic_size + sizeof(payload_size), &crc,
               sizeof(crc));
+}
+
+/// Reads the whole file. kNotFound when the file does not exist; kIoError
+/// for any other read failure.
+Result<std::string> read_file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return Status{StatusCode::kNotFound, path};
+  std::string bytes;
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec) return Status{StatusCode::kIoError, path + ": " + ec.message()};
+  bytes.resize(static_cast<std::size_t>(size));
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!is && size != 0)
+    return Status{StatusCode::kIoError, path + ": short read"};
+  return bytes;
 }
 
 /// Reads a framed file and validates magic, declared size and checksum;
@@ -146,6 +162,18 @@ Result<std::string> read_framed_blob(const std::string& path,
       stored_crc)
     return Status{StatusCode::kCorruptArtifact, "payload checksum mismatch"};
   return bytes;
+}
+
+/// Moves a failed artifact aside to `<path>.corrupt` so the next run
+/// regenerates it while the bad bytes stay available for post-mortems.
+/// Never throws; if even removal fails the caller still regenerates and an
+/// atomic rename will overwrite the bad file.
+void quarantine_file(const std::string& path) {
+  const std::string corrupt = path + ".corrupt";
+  std::error_code ec;
+  fs::remove(corrupt, ec);
+  fs::rename(path, corrupt, ec);
+  if (ec) fs::remove(path, ec);
 }
 
 /// 64-bit FNV-1a: the artifact file name of a key.
@@ -187,44 +215,6 @@ Status atomic_write_file(const std::string& path, std::string_view bytes) {
   }
   sync_directory(path);
   return Status::Ok();
-}
-
-Result<std::string> read_file_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status{StatusCode::kNotFound, path};
-  std::string bytes;
-  std::error_code ec;
-  const std::uintmax_t size = fs::file_size(path, ec);
-  if (ec) return Status{StatusCode::kIoError, path + ": " + ec.message()};
-  bytes.resize(static_cast<std::size_t>(size));
-  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!is && size != 0)
-    return Status{StatusCode::kIoError, path + ": short read"};
-  return bytes;
-}
-
-Status write_framed_file(const std::string& path, std::string_view magic,
-                         std::string_view payload) {
-  std::string blob = open_frame(magic, payload.size());
-  blob.append(payload.data(), payload.size());
-  seal_frame(blob, magic.size());
-  return atomic_write_file(path, blob);
-}
-
-Result<std::string> read_framed_payload(const std::string& path,
-                                        std::string_view magic) {
-  Result<std::string> blob = read_framed_blob(path, magic);
-  if (!blob.ok()) return blob.status();
-  blob->erase(0, magic.size() + kFrameLengthFields);
-  return blob;
-}
-
-void quarantine_file(const std::string& path) {
-  const std::string corrupt = path + ".corrupt";
-  std::error_code ec;
-  fs::remove(corrupt, ec);
-  fs::rename(path, corrupt, ec);
-  if (ec) fs::remove(path, ec);
 }
 
 void sweep_stale_temps(const std::string& directory) {
@@ -303,7 +293,7 @@ Status ArtifactStore::load(
 Status ArtifactStore::store(
     const std::string& key,
     const std::function<Status(std::string& out)>& encode) const {
-  std::string blob = open_frame(magic_, 0);
+  std::string blob = open_frame(magic_);
   SerialWriter(blob).str(key);
   if (Status status = encode(blob); !status.ok()) return status;
   seal_frame(blob, magic_.size());

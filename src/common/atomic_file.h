@@ -1,23 +1,21 @@
-// Crash-safe file publication and CRC-framed artifact I/O.
+// Crash-safe file publication and the CRC-framed artifact store.
 //
-// Every artifact writer in the tree (trace cache, model store) funnels
-// through this file — the xfa_lint `atomic-write` rule rejects raw
-// std::ofstream / fopen anywhere else under src/ — so the crash-safety
-// invariants live in exactly one place:
+// Every artifact writer in the tree (the trace cache) funnels through this
+// file — the xfa_lint `atomic-write` rule rejects raw std::ofstream / fopen
+// anywhere else under src/ — so the crash-safety invariants live in exactly
+// one place:
 //
 //   * atomic_write_file: bytes go to a per-writer-unique temp file
 //     (`<path>.<pid>.<seq>.tmp`), are fsync'd, then renamed onto `path`.
 //     Readers observe either the old complete file or the new complete file,
 //     never a prefix, for any kill point.
-//   * write_framed_file / read_framed_payload: the shared artifact framing
-//     (magic, u64 payload size, u64 CRC64 of the payload, payload) used by
-//     every artifact: XFAMDL1 model files directly, XFATRC3 traces through
-//     ArtifactStore. The reader validates the declared size against the
+//   * ArtifactStore: a directory of keyed framed artifacts (magic, u64
+//     payload size, u64 CRC64 of the payload, payload), one file per key,
+//     with fnv1a file naming, hash-collision detection and quarantine of
+//     corrupt files. The loader validates the declared size against the
 //     real file size before allocating and the checksum before parsing, so
-//     no on-disk bytes can crash a loader.
-//   * ArtifactStore: a directory of keyed framed artifacts, one file per
-//     key, with fnv1a file naming, hash-collision detection and quarantine
-//     of corrupt files. The trace cache is an instance of it.
+//     no on-disk bytes can crash it. The trace cache (XFATRC3) is an
+//     instance of it.
 //   * sweep_stale_temps: deletes `*.tmp` litter abandoned by writers whose
 //     embedded pid is no longer alive.
 #pragma once
@@ -34,29 +32,6 @@ namespace xfa {
 /// renames onto `path`. On any failure the temp file is removed and nothing
 /// is published (kIoError). Does not create parent directories.
 Status atomic_write_file(const std::string& path, std::string_view bytes);
-
-/// Reads the whole file. kNotFound when the file does not exist; kIoError
-/// for any other read failure.
-Result<std::string> read_file_bytes(const std::string& path);
-
-/// Serializes the framed artifact (magic + size + CRC64 + payload) in memory
-/// and publishes it via atomic_write_file.
-Status write_framed_file(const std::string& path, std::string_view magic,
-                         std::string_view payload);
-
-/// Reads a framed artifact and returns its payload after validating magic,
-/// declared size (against the real file size, so a hostile length field
-/// never drives the allocation) and checksum. kNotFound when missing;
-/// kCorruptArtifact (with a human-readable reason, file NOT quarantined —
-/// that policy belongs to the caller) on any validation failure.
-Result<std::string> read_framed_payload(const std::string& path,
-                                        std::string_view magic);
-
-/// Moves a failed artifact aside to `<path>.corrupt` so the next run
-/// regenerates it while the bad bytes stay available for post-mortems.
-/// Never throws; if even removal fails the caller still regenerates and an
-/// atomic rename will overwrite the bad file.
-void quarantine_file(const std::string& path);
 
 /// Deletes `*.tmp` files abandoned in `directory` by crashed writers. A temp
 /// whose embedded pid is still alive is never touched (the old age-based

@@ -1,12 +1,12 @@
 // Bounds-checked binary (de)serialization primitives.
 //
-// Every persistent artifact in the tree — XFATRC3 trace-cache files and
-// XFAMDL1 model files — serializes through SerialWriter and parses through
-// SerialReader. The reader is a cursor over an in-memory buffer whose every
-// read fails soft when the remaining bytes cannot satisfy it, so hostile
-// counts never drive an allocation or an out-of-bounds read. Integer widths
-// are fixed (sizes travel as u64) so the byte layout is identical across
-// platforms with IEEE-754 doubles.
+// The one persistent artifact in the tree, the XFATRC3 trace-cache file,
+// serializes through SerialWriter and parses through SerialReader. The
+// reader is a cursor over an in-memory buffer whose every read fails soft
+// when the remaining bytes cannot satisfy it, so hostile counts never drive
+// an allocation or an out-of-bounds read. Integer widths are fixed (sizes
+// travel as u64) so the byte layout is identical across platforms with
+// IEEE-754 doubles.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +46,6 @@ class SerialWriter {
   void doubles(const std::vector<double>& values) {
     size(values.size());
     bytes(values.data(), values.size() * sizeof(double));
-  }
-
-  void sizes(const std::vector<std::size_t>& values) {
-    size(values.size());
-    for (const std::size_t v : values) size(v);
   }
 
  private:
@@ -104,16 +99,6 @@ class SerialReader {
     if (count > remaining() / sizeof(double)) return false;
     out.resize(count);
     return read_bytes(out.data(), count * sizeof(double));
-  }
-
-  bool read_sizes(std::vector<std::size_t>& out) {
-    std::size_t count = 0;
-    if (!read_size(count)) return false;
-    if (count > remaining() / sizeof(std::uint64_t)) return false;
-    out.resize(count);
-    for (std::size_t& v : out)
-      if (!read_size(v)) return false;
-    return true;
   }
 
  private:

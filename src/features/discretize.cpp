@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/serial.h"
 #include "sim/rng.h"
 
 namespace xfa {
@@ -104,51 +103,10 @@ int EqualFrequencyDiscretizer::transform_value(std::size_t column,
   return bucket;
 }
 
-Status EqualFrequencyDiscretizer::save_state(SerialWriter& out) const {
-  if (!fitted())
-    return {StatusCode::kInvalidArgument, "discretizer save before fit"};
-  out.pod(static_cast<std::int32_t>(buckets_));
-  out.pod(min_relative_gap_);
-  out.size(cut_count_.size());
-  for (std::size_t c = 0; c < cut_count_.size(); ++c) {
-    const auto row = cuts_.begin() + static_cast<std::ptrdiff_t>(c * width_);
-    out.doubles(std::vector<double>(
-        row, row + static_cast<std::ptrdiff_t>(cut_count_[c])));
-  }
-  return Status::Ok();
-}
-
-Status EqualFrequencyDiscretizer::load_state(SerialReader& in) {
-  const Status corrupt{StatusCode::kCorruptArtifact,
-                       "discretizer: malformed cut points"};
-  cuts_.clear();
-  cut_count_.clear();
-  width_ = 0;
-
-  std::int32_t buckets = 0;
-  double min_relative_gap = 0;
-  std::size_t columns = 0;
-  if (!in.read_pod(buckets) || buckets < 2 || !in.read_pod(min_relative_gap) ||
-      !in.read_size(columns))
-    return corrupt;
-  // Each column costs at least its own count field, bounding the resize.
-  if (columns > in.remaining() / sizeof(std::uint64_t)) return corrupt;
-  std::vector<std::vector<double>> boundaries(columns);
-  for (std::vector<double>& cuts : boundaries) {
-    // fit()'s postconditions, re-checked so a bucket count stays a
-    // lower_bound index on loaded state: sorted NaN-free cuts, fewer than
-    // buckets_.
-    if (!in.read_doubles(cuts) ||
-        cuts.size() >= static_cast<std::size_t>(buckets) ||
-        std::any_of(cuts.begin(), cuts.end(),
-                    [](double cut) { return std::isnan(cut); }) ||
-        !std::is_sorted(cuts.begin(), cuts.end()))
-      return corrupt;
-  }
-  buckets_ = buckets;
-  min_relative_gap_ = min_relative_gap;
-  set_cuts(boundaries);
-  return Status::Ok();
+std::span<const double> EqualFrequencyDiscretizer::cuts(
+    std::size_t column) const {
+  XFA_CHECK_LT(column, cut_count_.size());
+  return {cuts_.data() + column * width_, cut_count_[column]};
 }
 
 void EqualFrequencyDiscretizer::transform_row(const std::vector<double>& row,

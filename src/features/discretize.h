@@ -7,15 +7,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "common/status.h"
 #include "features/extract.h"
 
 namespace xfa {
-
-class SerialReader;
-class SerialWriter;
 
 /// Discrete event matrix ready for the classifiers: every cell is a bucket
 /// index in [0, cardinality(column)).
@@ -71,19 +68,9 @@ class EqualFrequencyDiscretizer {
     return static_cast<int>(cut_count_[column]) + 1;
   }
 
-  int requested_buckets() const { return buckets_; }
-  double min_relative_gap() const { return min_relative_gap_; }
-
-  /// Serializes the fitted cut points (plus the fit parameters) so that
-  /// load_state() restores a discretizer whose transform() output is
-  /// bit-identical. Part of the XFAMDL1 payload (scenario/model_store.h).
-  Status save_state(SerialWriter& out) const;
-
-  /// Restores state written by save_state. Cut vectors are re-validated
-  /// (sorted, NaN-free, bounded counts) so a hostile payload yields
-  /// kCorruptArtifact rather than undefined transform behaviour; on failure
-  /// the discretizer is left unfitted.
-  Status load_state(SerialReader& in);
+  /// Column `column`'s fitted cut points, ascending: the row prefix of the
+  /// flat table that transform_value searches. Valid until the next fit.
+  std::span<const double> cuts(std::size_t column) const;
 
  private:
   /// Installs per-column ascending cut vectors as the padded flat table.

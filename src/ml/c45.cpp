@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/serial.h"
 #include "ml/log2_cache.h"
 
 namespace xfa {
@@ -421,74 +420,5 @@ std::size_t C45::subtree_depth(const TreeNode& node) {
 }
 
 std::size_t C45::depth() const { return root_ ? subtree_depth(*root_) : 0; }
-
-void C45::save_node(SerialWriter& out, const TreeNode& node) {
-  // The cached Laplace dist is intentionally omitted: load recomputes it
-  // through flatten(), the same arithmetic fit ran, so the
-  // restored distributions are bit-identical without trusting stored ones.
-  out.doubles(node.class_counts);
-  out.size(node.split_column);
-  out.size(node.children.size());
-  for (const auto& child : node.children) save_node(out, *child);
-}
-
-bool C45::load_node(SerialReader& in, TreeNode& node, std::size_t max_columns,
-                    std::size_t depth) {
-  // A fitted tree's depth is bounded by the feature count (every split
-  // consumes one attribute); the explicit cap keeps a hostile deeply-nested
-  // payload from exhausting the real call stack.
-  constexpr std::size_t kMaxLoadDepth = 512;
-  if (depth > kMaxLoadDepth) return false;
-  if (!in.read_doubles(node.class_counts)) return false;
-  if (node.class_counts.size() !=
-      static_cast<std::size_t>(label_cardinality_))
-    return false;
-  std::size_t children = 0;
-  if (!in.read_size(node.split_column) || !in.read_size(children))
-    return false;
-  if (children == 0) {
-    node.split_column = 0;  // leaf: normalize so re-saves are canonical
-    return true;
-  }
-  if (node.split_column >= max_columns) return false;
-  // Every child costs at least its own three length fields, so a hostile
-  // count beyond that cannot be satisfied by the remaining payload — reject
-  // before allocating.
-  if (children > in.remaining() / (3 * sizeof(std::uint64_t))) return false;
-  node.children.reserve(children);
-  for (std::size_t v = 0; v < children; ++v) {
-    auto child = std::make_unique<TreeNode>();
-    if (!load_node(in, *child, max_columns, depth + 1)) return false;
-    node.children.push_back(std::move(child));
-  }
-  return true;
-}
-
-Status C45::save_state(SerialWriter& out) const {
-  if (root_ == nullptr)
-    return {StatusCode::kInvalidArgument, "C4.5 save before fit"};
-  out.pod(static_cast<std::int32_t>(label_cardinality_));
-  save_node(out, *root_);
-  return Status::Ok();
-}
-
-Status C45::load_state(SerialReader& in, std::size_t max_columns) {
-  constexpr std::int32_t kMaxCardinality = 1 << 20;
-  root_.reset();
-  label_cardinality_ = 0;
-  std::int32_t cardinality = 0;
-  if (!in.read_pod(cardinality) || cardinality < 1 ||
-      cardinality > kMaxCardinality)
-    return {StatusCode::kCorruptArtifact, "C4.5: bad label cardinality"};
-  label_cardinality_ = cardinality;
-  auto root = std::make_unique<TreeNode>();
-  if (!load_node(in, *root, max_columns, 0)) {
-    label_cardinality_ = 0;
-    return {StatusCode::kCorruptArtifact, "C4.5: malformed tree"};
-  }
-  root_ = std::move(root);
-  flatten();
-  return Status::Ok();
-}
 
 }  // namespace xfa

@@ -45,12 +45,6 @@ class C45 final : public Classifier {
                : 0;
   }
 
-  /// Tree serialization (ml/model_io.h): per-node class counts, split column
-  /// and children; cached distributions are recomputed on load through the
-  /// same Laplace path fit uses, so scores round-trip bit-identically.
-  Status save_state(SerialWriter& out) const override;
-  Status load_state(SerialReader& in, std::size_t max_columns) override;
-
   std::size_t node_count() const;
   std::size_t depth() const;
 
@@ -121,10 +115,6 @@ class C45 final : public Classifier {
   void flatten();
   static std::size_t count_nodes(const TreeNode& node);
   static std::size_t subtree_depth(const TreeNode& node);
-  static void save_node(SerialWriter& out, const TreeNode& node);
-  /// Bounds- and invariant-checked recursive load; false on any violation.
-  bool load_node(SerialReader& in, TreeNode& node, std::size_t max_columns,
-                 std::size_t depth);
 
   C45Config config_;
   std::unique_ptr<TreeNode> root_;

@@ -10,13 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace xfa {
 
 class DatasetView;
-class SerialReader;
-class SerialWriter;
 
 /// A table of nominal (bucket-indexed) values. Every classifier consumes
 /// it through a DatasetView; which column acts as the label is chosen per
@@ -68,7 +64,7 @@ class Classifier {
   /// [r * label_cardinality(), (r + 1) * label_cardinality())), so `scratch`
   /// must be at least block.rows * label_cardinality() wide; callers size
   /// one buffer and reuse it per block. Spans stay valid until the next
-  /// fit/load on this classifier or the next write to `scratch`. Values
+  /// fit on this classifier or the next write to `scratch`. Values
   /// outside a column's training range are legal (unseen values).
   virtual void predict_block(const RowBlock& block, std::span<double> scratch,
                              std::span<std::span<const double>> dists)
@@ -84,22 +80,8 @@ class Classifier {
   virtual const char* name() const = 0;
 
   /// Width of the label's value space for the fitted model; 0 before fit.
-  /// The cross-feature model sizes its scoring scratch from this after
-  /// deserialization.
+  /// The cross-feature model sizes its scoring scratch from this.
   virtual std::size_t label_cardinality() const = 0;
-
-  /// Serializes the fitted state into `out` so that load_state() on a
-  /// default-configured instance restores a classifier whose every
-  /// predict_block/describe() output is bit-identical; kInvalidArgument
-  /// before fit. Persisted via the XFAMDL1 artifact format, see
-  /// ml/model_io.h.
-  virtual Status save_state(SerialWriter& out) const = 0;
-
-  /// Restores state written by save_state(). Every stored column index is
-  /// validated against `max_columns` (the row width predict will be handed)
-  /// and every internal size invariant is re-checked, so a hostile payload
-  /// yields kCorruptArtifact — never an abort or out-of-bounds access.
-  virtual Status load_state(SerialReader& in, std::size_t max_columns) = 0;
 
   /// Human-readable rendering of the fitted model (the paper: "the resulting
   /// model is fairly easy to comprehend and can be examined by human

@@ -44,7 +44,6 @@ enum class FeatureRanker : std::uint8_t {
   MutualInformation = 1,  // fused pairwise-MI pass (cheap, model-free)
   SubmodelAccuracy = 2,   // held-out sub-model accuracy (costs one train)
 };
-inline constexpr std::uint8_t kFeatureRankerCount = 3;
 
 const char* to_string(FeatureRanker ranker);
 

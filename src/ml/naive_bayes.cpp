@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/check.h"
-#include "common/serial.h"
 #include "ml/log2_cache.h"
 
 namespace xfa {
@@ -17,7 +16,7 @@ void NaiveBayes::fit(const DatasetView& view,
   feature_columns_ = feature_columns;
   const auto classes = static_cast<std::size_t>(view.cardinality(label_column));
   class_counts_.assign(classes, 0);
-  total_ = static_cast<double>(view.rows());
+  const auto total = static_cast<double>(view.rows());
 
   const std::span<const std::int32_t> label_data = view.column(label_column);
   for (std::size_t r = 0; r < view.rows(); ++r)
@@ -53,7 +52,7 @@ void NaiveBayes::fit(const DatasetView& view,
   prior_log_.resize(classes);
   for (std::size_t c = 0; c < classes; ++c)
     prior_log_[c] = log((class_counts_[c] + 1.0) /
-                        (total_ + static_cast<double>(classes)));
+                        (total + static_cast<double>(classes)));
   for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
     const auto card = static_cast<std::size_t>(feature_cardinality_[f]);
     double* const table = table_.data() + table_offset_[f];
@@ -113,110 +112,6 @@ void NaiveBayes::predict_block(const RowBlock& block,
     for (std::size_t c = 0; c < classes; ++c) out[c] /= sum;
     dists[r] = out;
   }
-}
-
-Status NaiveBayes::save_state(SerialWriter& out) const {
-  if (class_counts_.empty())
-    return {StatusCode::kInvalidArgument, "NBC save before fit"};
-  // Stored layout: every feature's [class][value] table back to back, then
-  // the unseen terms as [feature][class].
-  const std::size_t classes = class_counts_.size();
-  std::vector<double> cond_flat, unseen_log;
-  cond_flat.reserve(table_.size());
-  unseen_log.reserve(feature_columns_.size() * classes);
-  for (std::size_t f = 0; f < feature_columns_.size(); ++f) {
-    const auto card = static_cast<std::size_t>(feature_cardinality_[f]);
-    const double* const table = table_.data() + table_offset_[f];
-    for (std::size_t c = 0; c < classes; ++c) {
-      for (std::size_t v = 0; v < card; ++v)
-        cond_flat.push_back(table[v * classes + c]);
-      unseen_log.push_back(table[card * classes + c]);
-    }
-  }
-  out.sizes(feature_columns_);
-  out.doubles(class_counts_);
-  out.doubles(cond_flat);
-  out.size(feature_cardinality_.size());
-  for (const int card : feature_cardinality_)
-    out.pod(static_cast<std::int32_t>(card));
-  out.doubles(prior_log_);
-  out.doubles(unseen_log);
-  out.pod(total_);
-  return Status::Ok();
-}
-
-Status NaiveBayes::load_state(SerialReader& in, std::size_t max_columns) {
-  constexpr std::int32_t kMaxCardinality = 1 << 20;
-  const Status corrupt{StatusCode::kCorruptArtifact,
-                       "NBC: malformed probability tables"};
-  feature_columns_.clear();
-  class_counts_.clear();
-  table_.clear();
-  table_offset_.clear();
-  feature_cardinality_.clear();
-  prior_log_.clear();
-  total_ = 0;
-
-  std::vector<std::size_t> feature_columns;
-  std::vector<double> class_counts, cond_flat, prior_log, unseen_log;
-  if (!in.read_sizes(feature_columns)) return corrupt;
-  for (const std::size_t column : feature_columns)
-    if (column >= max_columns) return corrupt;
-  if (!in.read_doubles(class_counts) || class_counts.empty()) return corrupt;
-  if (!in.read_doubles(cond_flat)) return corrupt;
-  std::size_t feature_count = 0;
-  if (!in.read_size(feature_count) ||
-      feature_count != feature_columns.size())
-    return corrupt;
-  std::vector<int> feature_cardinality(feature_count);
-  for (std::size_t f = 0; f < feature_count; ++f) {
-    std::int32_t card = 0;
-    if (!in.read_pod(card) || card < 1 || card > kMaxCardinality)
-      return corrupt;
-    feature_cardinality[f] = card;
-  }
-  if (!in.read_doubles(prior_log) || !in.read_doubles(unseen_log))
-    return corrupt;
-  double total = 0;
-  if (!in.read_pod(total)) return corrupt;
-
-  // Derive every size from the cardinalities — never trusted from disk —
-  // and require the stored tables to match exactly, so a hostile payload
-  // cannot shrink a table out from under the table walk.
-  const std::size_t classes = class_counts.size();
-  std::size_t stored_size = 0;
-  for (std::size_t f = 0; f < feature_count; ++f) {
-    stored_size += classes * static_cast<std::size_t>(feature_cardinality[f]);
-    if (stored_size > cond_flat.size()) return corrupt;
-  }
-  if (stored_size != cond_flat.size()) return corrupt;
-  if (prior_log.size() != classes) return corrupt;
-  if (unseen_log.size() != feature_count * classes) return corrupt;
-
-  // Transpose the stored [class][value] tables into [value, unseen][class].
-  std::vector<std::size_t> table_offset(feature_count);
-  std::vector<double> table(stored_size + feature_count * classes);
-  const double* stored = cond_flat.data();
-  std::size_t offset = 0;
-  for (std::size_t f = 0; f < feature_count; ++f) {
-    const auto card = static_cast<std::size_t>(feature_cardinality[f]);
-    table_offset[f] = offset;
-    for (std::size_t c = 0; c < classes; ++c) {
-      for (std::size_t v = 0; v < card; ++v)
-        table[offset + v * classes + c] = *stored++;
-      table[offset + card * classes + c] = unseen_log[f * classes + c];
-    }
-    offset += (card + 1) * classes;
-  }
-
-  feature_columns_ = std::move(feature_columns);
-  class_counts_ = std::move(class_counts);
-  table_ = std::move(table);
-  table_offset_ = std::move(table_offset);
-  feature_cardinality_ = std::move(feature_cardinality);
-  prior_log_ = std::move(prior_log);
-  total_ = total;
-  return Status::Ok();
 }
 
 }  // namespace xfa

@@ -28,15 +28,6 @@ class NaiveBayes final : public Classifier {
     return class_counts_.size();
   }
 
-  /// Table serialization (ml/model_io.h). The stored order is per feature
-  /// [class][value] followed by the unseen terms; save and load transpose
-  /// to and from the in-memory layout, and the log terms round-trip as raw
-  /// doubles, so restored predictions are bit-identical. The per-feature
-  /// offsets are recomputed (never trusted) and every size invariant is
-  /// re-validated on load.
-  Status save_state(SerialWriter& out) const override;
-  Status load_state(SerialReader& in, std::size_t max_columns) override;
-
  private:
   std::vector<std::size_t> feature_columns_;
   std::vector<double> class_counts_;
@@ -51,7 +42,6 @@ class NaiveBayes final : public Classifier {
   std::vector<std::size_t> table_offset_;  // per feature, into table_
   std::vector<int> feature_cardinality_;   // per feature
   std::vector<double> prior_log_;          // log class prior, per class
-  double total_ = 0;
 };
 
 }  // namespace xfa

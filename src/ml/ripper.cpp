@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/serial.h"
 #include "ml/log2_cache.h"
 #include "sim/rng.h"
 
@@ -361,83 +360,6 @@ void Ripper::predict_block(const RowBlock& block,
   }
   for (; open != 0; open &= open - 1)
     dists[static_cast<std::size_t>(std::countr_zero(open))] = default_dist_;
-}
-
-Status Ripper::save_state(SerialWriter& out) const {
-  if (label_cardinality_ <= 0)
-    return {StatusCode::kInvalidArgument, "RIPPER save before fit"};
-  out.pod(static_cast<std::int32_t>(label_cardinality_));
-  out.doubles(default_counts_);
-  out.size(rules_.size());
-  for (const Rule& rule : rules_) {
-    out.size(rule.conditions.size());
-    for (const Condition& condition : rule.conditions) {
-      out.size(condition.column);
-      out.pod(static_cast<std::int32_t>(condition.value));
-    }
-    out.pod(static_cast<std::int32_t>(rule.target_class));
-    // The cached dist is recomputed on load (laplace_distribution over the
-    // same counts — bit-identical), so only the counts travel.
-    out.doubles(rule.class_counts);
-  }
-  return Status::Ok();
-}
-
-Status Ripper::load_state(SerialReader& in, std::size_t max_columns) {
-  constexpr std::int32_t kMaxCardinality = 1 << 20;
-  const Status corrupt{StatusCode::kCorruptArtifact,
-                       "RIPPER: malformed rule list"};
-  rules_.clear();
-  default_counts_.clear();
-  default_dist_.clear();
-  label_cardinality_ = 0;
-
-  std::int32_t cardinality = 0;
-  if (!in.read_pod(cardinality) || cardinality < 1 ||
-      cardinality > kMaxCardinality)
-    return corrupt;
-  std::vector<double> default_counts;
-  if (!in.read_doubles(default_counts) ||
-      default_counts.size() != static_cast<std::size_t>(cardinality))
-    return corrupt;
-  std::size_t rule_count = 0;
-  if (!in.read_size(rule_count)) return corrupt;
-  // Each rule costs at least its four length/value fields; a count beyond
-  // what the remaining payload can hold is hostile — reject pre-allocation.
-  if (rule_count > in.remaining() / (2 * sizeof(std::uint64_t))) return corrupt;
-  std::vector<Rule> rules;
-  rules.reserve(rule_count);
-  for (std::size_t r = 0; r < rule_count; ++r) {
-    Rule rule;
-    std::size_t conditions = 0;
-    if (!in.read_size(conditions)) return corrupt;
-    if (conditions > in.remaining() / (sizeof(std::uint64_t) + sizeof(int32_t)))
-      return corrupt;
-    rule.conditions.reserve(conditions);
-    for (std::size_t c = 0; c < conditions; ++c) {
-      Condition condition;
-      std::int32_t value = 0;
-      if (!in.read_size(condition.column) || !in.read_pod(value) ||
-          condition.column >= max_columns)
-        return corrupt;
-      condition.value = value;
-      rule.conditions.push_back(condition);
-    }
-    std::int32_t target = 0;
-    if (!in.read_pod(target) || target < 0 || target >= cardinality)
-      return corrupt;
-    rule.target_class = target;
-    if (!in.read_doubles(rule.class_counts) ||
-        rule.class_counts.size() != static_cast<std::size_t>(cardinality))
-      return corrupt;
-    rule.dist = laplace_distribution(rule.class_counts);
-    rules.push_back(std::move(rule));
-  }
-  label_cardinality_ = cardinality;
-  default_counts_ = std::move(default_counts);
-  default_dist_ = laplace_distribution(default_counts_);
-  rules_ = std::move(rules);
-  return Status::Ok();
 }
 
 }  // namespace xfa

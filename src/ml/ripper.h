@@ -52,13 +52,6 @@ class Ripper final : public Classifier {
                : 0;
   }
 
-  /// Decision-list serialization (ml/model_io.h): ordered rules (conditions,
-  /// target class, covered class counts) plus the default counts; cached
-  /// Laplace distributions are recomputed on load, so scores round-trip
-  /// bit-identically.
-  Status save_state(SerialWriter& out) const override;
-  Status load_state(SerialReader& in, std::size_t max_columns) override;
-
   std::size_t rule_count() const { return rules_.size(); }
 
   /// Ordered rule-list rendering ("IF f3=2 AND f7=0 THEN class 1 ...").

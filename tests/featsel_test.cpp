@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cfa/model.h"
-#include "common/serial.h"
 #include "exec/thread_pool.h"
 #include "features/schema.h"
 #include "ml/c45.h"
@@ -298,45 +297,6 @@ TEST(FeatSel, RetrainWithoutSelectionClearsState) {
   EXPECT_FALSE(model.selection().active());
   EXPECT_TRUE(model.ranking().ranked.empty());
   EXPECT_TRUE(model.selected_out_columns().empty());
-}
-
-// --- Persistence ----------------------------------------------------------
-
-// The XFAMDL1 selection record: a reloaded model reports the same ranking,
-// config and selected-out set, and scores byte-identically.
-TEST(FeatSel, SelectionRecordRoundTripsThroughPayload) {
-  const Dataset data = structured_dataset();
-  CrossFeatureModel original;
-  ASSERT_TRUE(
-      original.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(3), 1).ok());
-
-  std::string payload;
-  SerialWriter writer(payload);
-  ASSERT_TRUE(original.save_payload(writer).ok());
-
-  CrossFeatureModel loaded;
-  SerialReader reader(payload);
-  ASSERT_TRUE(loaded.load_payload(reader).ok());
-  EXPECT_EQ(reader.remaining(), 0u);
-
-  EXPECT_EQ(loaded.selection().ranker, original.selection().ranker);
-  EXPECT_EQ(loaded.selection().top_k, original.selection().top_k);
-  EXPECT_EQ(loaded.selection().min_score, original.selection().min_score);
-  EXPECT_EQ(loaded.selected_out_columns(), original.selected_out_columns());
-  ASSERT_EQ(loaded.ranking().ranked.size(), original.ranking().ranked.size());
-  for (std::size_t i = 0; i < original.ranking().ranked.size(); ++i) {
-    EXPECT_EQ(loaded.ranking().ranked[i].column,
-              original.ranking().ranked[i].column);
-    EXPECT_EQ(loaded.ranking().ranked[i].score,
-              original.ranking().ranked[i].score);
-  }
-
-  for (const auto& row : data.rows) {
-    const EventScore a = original.score(row);
-    const EventScore b = loaded.score(row);
-    EXPECT_EQ(a.avg_match_count, b.avg_match_count);
-    EXPECT_EQ(a.avg_probability, b.avg_probability);
-  }
 }
 
 // --- Reporting ------------------------------------------------------------

@@ -7,10 +7,10 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/serial.h"
 #include "features/discretize.h"
 #include "features/extract.h"
 #include "features/schema.h"
@@ -318,22 +318,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DiscretizerParamTest,
 
 // -- Branchless transform vs a lower_bound reference ------------------------
 
-/// The per-column cut points, read back from the saved state so the
-/// reference does not share the transform's flat table.
-std::vector<std::vector<double>> saved_cuts(
+/// The per-column cut points: each column's row prefix of the flat table,
+/// without the +inf padding the transform searches past.
+std::vector<std::vector<double>> fitted_cuts(
     const EqualFrequencyDiscretizer& discretizer) {
-  std::string state;
-  SerialWriter writer(state);
-  EXPECT_TRUE(discretizer.save_state(writer).ok());
-  SerialReader reader(state);
-  std::int32_t buckets = 0;
-  double gap = 0;
-  std::size_t columns = 0;
-  EXPECT_TRUE(reader.read_pod(buckets) && reader.read_pod(gap) &&
-              reader.read_size(columns));
-  std::vector<std::vector<double>> cuts(columns);
-  for (std::vector<double>& column : cuts)
-    EXPECT_TRUE(reader.read_doubles(column));
+  std::vector<std::vector<double>> cuts(discretizer.columns());
+  for (std::size_t c = 0; c < cuts.size(); ++c) {
+    const std::span<const double> column = discretizer.cuts(c);
+    cuts[c].assign(column.begin(), column.end());
+  }
   return cuts;
 }
 
@@ -366,7 +359,7 @@ std::vector<double> probes(const std::vector<double>& cuts) {
 }
 
 void expect_matches_lower_bound(const EqualFrequencyDiscretizer& discretizer) {
-  const std::vector<std::vector<double>> cuts = saved_cuts(discretizer);
+  const std::vector<std::vector<double>> cuts = fitted_cuts(discretizer);
   ASSERT_EQ(cuts.size(), discretizer.columns());
   std::size_t widest = 0;
   for (const std::vector<double>& column : cuts)
@@ -421,22 +414,12 @@ TEST(DiscretizerBranchless, MatchesLowerBoundOnEdgeValues) {
   }
   EqualFrequencyDiscretizer discretizer(5, 0);
   discretizer.fit(rows);
-  const std::vector<std::vector<double>> cuts = saved_cuts(discretizer);
+  const std::vector<std::vector<double>> cuts = fitted_cuts(discretizer);
   ASSERT_EQ(cuts.size(), 4u);
   EXPECT_EQ(cuts[0].size(), 4u);
   EXPECT_TRUE(cuts[1].empty());
   EXPECT_EQ(cuts[2].size(), 1u);
   expect_matches_lower_bound(discretizer);
-
-  // A discretizer restored from the saved state maps identically.
-  std::string state;
-  SerialWriter writer(state);
-  ASSERT_TRUE(discretizer.save_state(writer).ok());
-  EqualFrequencyDiscretizer restored;
-  SerialReader reader(state);
-  ASSERT_TRUE(restored.load_state(reader).ok());
-  EXPECT_EQ(saved_cuts(restored), cuts);
-  expect_matches_lower_bound(restored);
 }
 
 TEST(DiscretizerBranchless, AllConstantColumnsMapToBucketZero) {
@@ -445,20 +428,6 @@ TEST(DiscretizerBranchless, AllConstantColumnsMapToBucketZero) {
   EXPECT_EQ(discretizer.cardinality(0), 1);
   EXPECT_EQ(discretizer.cardinality(1), 1);
   expect_matches_lower_bound(discretizer);
-}
-
-TEST(DiscretizerBranchless, LoadRejectsNaNCuts) {
-  std::string state;
-  SerialWriter writer(state);
-  writer.pod(std::int32_t{5});
-  writer.pod(0.25);
-  writer.size(1);
-  writer.doubles({1.0, std::numeric_limits<double>::quiet_NaN()});
-  EqualFrequencyDiscretizer discretizer;
-  SerialReader reader(state);
-  EXPECT_EQ(discretizer.load_state(reader).code(),
-            StatusCode::kCorruptArtifact);
-  EXPECT_FALSE(discretizer.fitted());
 }
 
 TEST(DiscretizerBranchless, WidthAndColumnChecksStay) {

@@ -6,12 +6,12 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/serial.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "ml/c45.h"
@@ -363,19 +363,63 @@ TEST(RipperDeathTest, RejectsOutOfRangePrunePrecision) {
 
 // -- RIPPER's bitset fit against a per-row counting reference ---------------
 
-/// RIPPER's fit as plain per-row counting over the row-major rows: every
-/// (p, n) is a scan, the prune step rescans per kept prefix. It returns the
-/// model in Ripper::save_state's layout, so Ripper::load_state turns it
-/// into a classifier to compare with the real fit.
-std::string reference_ripper_state(const Dataset& data,
-                                   const std::vector<std::size_t>& features,
-                                   std::size_t label,
-                                   const RipperConfig& config) {
+/// The decision list the counting reference learns: rules in firing order
+/// with the class counts of the pool rows each one covered, then the
+/// default's counts.
+struct ReferenceRuleList {
   struct Rule {
     std::vector<std::pair<std::size_t, int>> conditions;
     int target = 0;
     std::vector<double> class_counts;
   };
+  std::vector<Rule> rules;
+  std::vector<double> default_counts;
+
+  /// Ripper::describe({})'s rendering of this list.
+  std::string describe() const {
+    std::string out;
+    for (const Rule& rule : rules) {
+      out += "IF ";
+      for (std::size_t i = 0; i < rule.conditions.size(); ++i) {
+        if (i > 0) out += " AND ";
+        out += 'f';
+        out += std::to_string(rule.conditions[i].first);
+        out += '=';
+        out += std::to_string(rule.conditions[i].second);
+      }
+      const double covered = std::accumulate(rule.class_counts.begin(),
+                                             rule.class_counts.end(), 0.0);
+      out += " THEN class " + std::to_string(rule.target) + "  (" +
+             std::to_string(static_cast<long>(
+                 rule.class_counts[static_cast<std::size_t>(rule.target)])) +
+             "/" + std::to_string(static_cast<long>(covered)) + ")\n";
+    }
+    const auto default_class = std::max_element(default_counts.begin(),
+                                                default_counts.end()) -
+                               default_counts.begin();
+    return out + "ELSE class " + std::to_string(default_class) + "\n";
+  }
+
+  /// Laplace distribution of the first rule covering `row`, else of the
+  /// default.
+  std::vector<double> dist(const std::vector<int>& row) const {
+    for (const Rule& rule : rules)
+      if (std::all_of(rule.conditions.begin(), rule.conditions.end(),
+                      [&](const auto& condition) {
+                        return row[condition.first] == condition.second;
+                      }))
+        return laplace_distribution(rule.class_counts);
+    return laplace_distribution(default_counts);
+  }
+};
+
+/// RIPPER's fit as plain per-row counting over the row-major rows: every
+/// (p, n) is a scan, the prune step rescans per kept prefix.
+ReferenceRuleList reference_ripper_fit(const Dataset& data,
+                                       const std::vector<std::size_t>& features,
+                                       std::size_t label,
+                                       const RipperConfig& config) {
+  using Rule = ReferenceRuleList::Rule;
   const auto matches = [&](const Rule& rule, std::size_t row,
                            std::size_t keep) {
     for (std::size_t k = 0; k < keep; ++k)
@@ -499,21 +543,7 @@ std::string reference_ripper_state(const Dataset& data,
                   [](double c) { return c == 0; }))
     default_counts = class_freq;
 
-  std::string state;
-  SerialWriter out(state);
-  out.pod(static_cast<std::int32_t>(classes));
-  out.doubles(default_counts);
-  out.size(rules.size());
-  for (const Rule& rule : rules) {
-    out.size(rule.conditions.size());
-    for (const auto& [column, value] : rule.conditions) {
-      out.size(column);
-      out.pod(static_cast<std::int32_t>(value));
-    }
-    out.pod(static_cast<std::int32_t>(rule.target));
-    out.doubles(rule.class_counts);
-  }
-  return state;
+  return {std::move(rules), std::move(default_counts)};
 }
 
 /// Random columns of cardinality 1-6 that share a per-row base value with
@@ -568,22 +598,16 @@ TEST(RipperTest, BitsetFitMatchesCountingReference) {
                                     " grow " + std::to_string(grow_fraction);
           Ripper fit(config);
           fit.fit(view, *inputs, label);
-          Ripper reference;
-          const std::string state =
-              reference_ripper_state(data, *inputs, label, config);
-          SerialReader reader(state);
-          ASSERT_TRUE(reference.load_state(reader, data.columns()).ok());
-          ASSERT_EQ(fit.describe({}), reference.describe({})) << where;
-          // The saved state carries every rule's class counts and the
-          // default counts as raw doubles.
-          std::string saved;
-          SerialWriter writer(saved);
-          ASSERT_TRUE(fit.save_state(writer).ok());
-          EXPECT_EQ(saved, state) << where;
+          const ReferenceRuleList reference =
+              reference_ripper_fit(data, *inputs, label, config);
+          ASSERT_EQ(fit.describe({}), reference.describe()) << where;
           for (std::size_t r = 0; r < rows; ++r)
-            ASSERT_EQ(dist_of(fit, data.rows[r]),
-                      dist_of(reference, data.rows[r]))
+            ASSERT_EQ(dist_of(fit, data.rows[r]), reference.dist(data.rows[r]))
                 << where << " row " << r;
+          // A row no condition matches reaches the default's counts even
+          // when every training row retires at a rule.
+          const std::vector<int> unmatched(data.columns(), -1);
+          ASSERT_EQ(dist_of(fit, unmatched), reference.dist(unmatched)) << where;
           ++fits;
           rules += fit.rule_count();
         }

@@ -16,7 +16,6 @@
 
 #include "cfa/model.h"
 #include "common/crc64.h"
-#include "common/serial.h"
 #include "exec/thread_pool.h"
 #include "ml/c45.h"
 #include "ml/dataset_view.h"
@@ -301,29 +300,6 @@ TEST_P(BlockKernelTest, ScoreAllMatchesOneRowScoring) {
   // ragged last block.
   for (const std::size_t rows : {1, 63, 64, 65, 200})
     expect_blocks_match_rows(model, rows_with_unseen_values(rows, 12, rows));
-}
-
-TEST_P(BlockKernelTest, RestoredModelMatchesOneRowScoring) {
-  const Dataset data = correlated_dataset(300, 12, 43);
-  CrossFeatureModel model;
-  ASSERT_TRUE(
-      model.train(data, iota_columns(12), factory_for(GetParam()), 1).ok());
-  std::string payload;
-  SerialWriter writer(payload);
-  ASSERT_TRUE(model.save_payload(writer).ok());
-  CrossFeatureModel restored;
-  SerialReader reader(payload);
-  ASSERT_TRUE(restored.load_payload(reader).ok());
-
-  const std::vector<std::vector<int>> rows =
-      rows_with_unseen_values(200, 12, 7);
-  expect_blocks_match_rows(restored, rows);
-  const std::vector<EventScore> want = model.score_all(rows);
-  const std::vector<EventScore> got = restored.score_all(rows);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    EXPECT_EQ(got[r].avg_match_count, want[r].avg_match_count) << r;
-    EXPECT_EQ(got[r].avg_probability, want[r].avg_probability) << r;
-  }
 }
 
 TEST_P(BlockKernelTest, ScoresWithUnseenValuesArePinned) {

@@ -339,7 +339,7 @@ void rule_atomic_write(const Ctx& c) {
     c.report(i, "atomic-write",
              "'" + opener +
                  "' writes a file without crash-safe publication; route the "
-                 "bytes through atomic_write_file / write_framed_file "
+                 "bytes through atomic_write_file / ArtifactStore "
                  "(common/atomic_file.h) so a kill at any instant cannot "
                  "leave a torn artifact");
   }

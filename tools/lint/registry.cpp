@@ -10,7 +10,7 @@ const std::vector<RuleInfo>& rule_registry() {
        "no raw std::ofstream / fopen / freopen outside common/atomic_file.*",
        "src/** except src/common/atomic_file.*",
        "Every artifact writer funnels through the crash-safe publication "
-       "layer (atomic_write_file, write_framed_file in "
+       "layer (atomic_write_file, or an ArtifactStore, in "
        "common/atomic_file.h): unique temp + fsync + atomic rename is what "
        "makes a SIGKILL at any instant leave either the old complete file "
        "or the new one. A raw output stream reintroduces torn files, which "
