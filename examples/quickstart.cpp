@@ -43,7 +43,7 @@ int main() {
   const Dataset normal = table1_normal_events();
   xfa::CrossFeatureModel model;
   // Train one sub-model per feature on normal events only (Algorithm 1).
-  model.train(normal, {0, 1, 2}, xfa::make_nbc_factory(), /*threads=*/1);
+  model.train(normal, {0, 1, 2}, xfa::make_nbc_factory());
 
   std::printf("%-10s %-10s %-8s | %-8s %-10s %-8s\n", "Reachable", "Delivered",
               "Cached", "class", "matchcnt", "avgprob");

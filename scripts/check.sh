@@ -3,8 +3,8 @@
 #   1. plain Release with XFA_WERROR=ON (warnings are errors),
 #   2. ASan+UBSan with recovery disabled (any report aborts the test), and
 #   3. TSan over the concurrency suites (thread pool, task groups,
-#      single-flight, deadline guards, cache stress, parallel gather,
-#      engine determinism) —
+#      parallel_for, single-flight, deadline guards, cache stress, parallel
+#      gather, engine determinism, pool-size equivalence) —
 # running the xfa_lint repo rules, the whole ctest suite (the hot-path
 # correctness cases and the quickstart example included) and the
 # scenario-file and supervised xfa_bench smokes in the first two
@@ -159,6 +159,11 @@ XFA_NO_CACHE=1 ctest --test-dir build-check-sanitize -j "${JOBS}" \
 # extra interleaving coverage). RipperTest fits RIPPER sub-models on 2 and 8
 # pool threads over one shared DatasetView and its row bitsets; RatioMemo
 # races pool threads to the first use of the per-process log2 ratio tables.
+# PoolSize covers the discretizer fit/transform and the DatasetView build,
+# which run per column or per row block on the pool and must give the same
+# cuts, rows, values and bitsets at pool sizes 1, 2 and 8
+# (PoolSizeEquivalence), and C4.5 training at pool sizes 1 and 4
+# (CrossFeature.TrainingMatchesAcrossPoolSizes).
 echo "=== tsan: configure + build ==="
 cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -166,7 +171,7 @@ cmake -B build-check-tsan -S . -DXFA_WERROR=ON \
 cmake --build build-check-tsan -j "${JOBS}"
 echo "=== tsan: concurrency suites ==="
 ctest --test-dir build-check-tsan -j "${JOBS}" \
-  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|CacheStress|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|RipperTest|RatioMemo|DatasetViewTest|BlockKernel|DiscretizerBranchless|Deadline|FeatSel' \
+  -R 'ThreadPool|TaskGroup|ParallelFor|SingleFlight|SharedPool|PoolSize|CacheStress|ParallelGather|EngineDeterminism|ScoreAllBitIdentical|FamilyParamTest|RipperTest|RatioMemo|DatasetViewTest|BlockKernel|DiscretizerBranchless|Deadline|FeatSel' \
   --output-on-failure
 
 echo "All checks passed."

@@ -43,17 +43,14 @@ SubmodelReading read_submodel(std::span<const double> dist, int truth) {
 
 Status CrossFeatureModel::train(const Dataset& normal_data,
                                 const std::vector<std::size_t>& label_columns,
-                                const ClassifierFactory& factory,
-                                std::size_t threads) {
-  return train(normal_data, label_columns, factory, FeatureSelectionConfig{},
-               threads);
+                                const ClassifierFactory& factory) {
+  return train(normal_data, label_columns, factory, FeatureSelectionConfig{});
 }
 
 Status CrossFeatureModel::train(const Dataset& normal_data,
                                 const std::vector<std::size_t>& label_columns,
                                 const ClassifierFactory& factory,
-                                const FeatureSelectionConfig& selection,
-                                std::size_t threads) {
+                                const FeatureSelectionConfig& selection) {
   if (normal_data.rows.empty())
     return {StatusCode::kDegenerateData, "no training rows"};
   if (label_columns.empty())
@@ -90,7 +87,7 @@ Status CrossFeatureModel::train(const Dataset& normal_data,
   FeatureRanking ranking;
   std::vector<std::size_t> selected_out;
   if (selection.active()) {
-    ranking = rank_features(view, survivors, selection, factory, threads);
+    ranking = rank_features(view, survivors, selection, factory);
     std::vector<std::size_t> selected =
         select_columns(ranking, selection.top_k, selection.min_score);
     if (selected.empty())
@@ -131,12 +128,7 @@ Status CrossFeatureModel::train(const Dataset& normal_data,
     classifier->fit(view, features, label_columns_[i]);
     submodels_[i] = std::move(classifier);
   };
-  if (threads == 1) {
-    // Explicit opt-out (callers measuring serial cost): stay on this thread.
-    for (std::size_t i = 0; i < label_columns_.size(); ++i) fit_submodel(i);
-  } else {
-    parallel_for(shared_pool(), label_columns_.size(), fit_submodel);
-  }
+  parallel_for(shared_pool(), label_columns_.size(), fit_submodel);
   return Status::Ok();
 }
 

@@ -44,9 +44,8 @@ class CrossFeatureModel {
   /// Algorithm 1. `label_columns` are the features to build sub-models for
   /// (the classifiable columns of the schema — time is excluded upstream);
   /// each sub-model uses all the *other* label columns as its inputs.
-  /// Sub-model fits run on the shared execution pool (src/exec); pass
-  /// `threads` = 1 to force serial fitting on the calling thread. Results
-  /// are byte-identical either way.
+  /// Sub-model fits run on the shared execution pool (src/exec); results
+  /// are byte-identical for any pool size.
   ///
   /// Degrades gracefully: a label column that is constant over the training
   /// data (the typical casualty of benign network faults — e.g. a counter
@@ -58,7 +57,7 @@ class CrossFeatureModel {
   /// kTrainFailed when no sub-model survives; the model stays untrained.
   Status train(const Dataset& normal_data,
                const std::vector<std::size_t>& label_columns,
-               const ClassifierFactory& factory, std::size_t threads = 0);
+               const ClassifierFactory& factory);
 
   /// Selection-aware Algorithm 1 (DESIGN.md §16): ranks the non-degenerate
   /// label columns with `selection.ranker`, keeps the top `selection.top_k`
@@ -73,8 +72,18 @@ class CrossFeatureModel {
   Status train(const Dataset& normal_data,
                const std::vector<std::size_t>& label_columns,
                const ClassifierFactory& factory,
+               const FeatureSelectionConfig& selection);
+
+  /// The selection overload with a trailing thread count, which is ignored:
+  /// only the benchmark driver (perf/xfa_perf.cpp) still spells it. Delete
+  /// together with DetectorOptions::threads once that driver stops.
+  Status train(const Dataset& normal_data,
+               const std::vector<std::size_t>& label_columns,
+               const ClassifierFactory& factory,
                const FeatureSelectionConfig& selection,
-               std::size_t threads = 0);
+               std::size_t /*ignored*/) {
+    return train(normal_data, label_columns, factory, selection);
+  }
 
   bool trained() const { return !submodels_.empty(); }
   /// Label columns skipped by the last successful train() — degenerate

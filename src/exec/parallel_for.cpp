@@ -1,6 +1,7 @@
 #include "exec/parallel_for.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "exec/task_group.h"
 
@@ -13,18 +14,23 @@ void parallel_for(ThreadPool& pool, std::size_t n,
     body(0);
     return;
   }
-  // A few blocks per worker smooths uneven task costs (sub-model fits vary
-  // with column cardinality) without drowning the queue in tiny tasks.
-  const std::size_t blocks = std::min(n, std::max<std::size_t>(pool.size(), 1) * 4);
-  const std::size_t chunk = (n + blocks - 1) / blocks;
+  std::atomic<std::size_t> next{0};
+  const std::function<void()> claim_all = [&next, &body, n] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed))
+      body(i);
+  };
+  // A helper that starts after the caller claimed the last index returns at
+  // once; the count depends only on n and the pool size, never on timing.
+  const std::size_t helpers = std::min(n - 1, pool.size());
   TaskGroup group(pool);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, n);
-    group.submit([&body, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    group.submit([&claim_all] {
+      claim_all();
       return Status::Ok();
     });
   }
+  pool.execute(claim_all);
   group.wait();  // bodies return no Status; errors abort via XFA_CHECK
 }
 

@@ -72,7 +72,7 @@ bool ThreadPool::run_pending_task() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
-  execute(std::move(task));
+  execute(task);
   return true;
 }
 
@@ -86,11 +86,11 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    execute(std::move(task));
+    execute(task);
   }
 }
 
-void ThreadPool::execute(std::function<void()> task) {
+void ThreadPool::execute(const std::function<void()>& task) {
   const auto wall_start = std::chrono::steady_clock::now();
   const std::uint64_t cpu_start = thread_cpu_ns();
   task();

@@ -13,7 +13,9 @@
 //
 // Every executed task is timed (wall clock and, on POSIX, per-thread CPU
 // time) into the pool's ExecStats counters — the raw material for bench
-// drivers reporting scheduling efficiency.
+// drivers reporting scheduling efficiency. Work a caller runs on its own
+// thread through execute() (parallel_for's caller share) is counted the
+// same way.
 #pragma once
 
 #include <atomic>
@@ -73,13 +75,16 @@ class ThreadPool {
   /// primitive: blocked waiters make progress instead of holding a thread.
   bool run_pending_task();
 
+  /// Runs `task` on the calling thread, timed and counted into stats()
+  /// exactly as a dequeued task is. parallel_for runs its caller's share
+  /// through this, so work done outside a worker is not lost from ExecStats.
+  void execute(const std::function<void()>& task);
+
   /// Snapshot of the cumulative task counters.
   ExecStats stats() const;
 
  private:
   void worker_loop();
-  /// Dequeued-task execution with timing instrumentation.
-  void execute(std::function<void()> task);
 
   mutable std::mutex mutex_;
   std::condition_variable ready_;

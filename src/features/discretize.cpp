@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "exec/parallel_for.h"
 #include "sim/rng.h"
 
 namespace xfa {
@@ -30,10 +31,12 @@ void EqualFrequencyDiscretizer::fit(
     sample.resize(max_fit_rows);
   }
 
+  // One task per column: each sorts its own copy of the sampled values and
+  // writes only boundaries[c], so the cuts are the same for any pool size.
   const std::size_t columns = rows.front().size();
   std::vector<std::vector<double>> boundaries(columns);
-  std::vector<double> values(sample.size());
-  for (std::size_t c = 0; c < columns; ++c) {
+  parallel_for(shared_pool(), columns, [&](std::size_t c) {
+    std::vector<double> values(sample.size());
     for (std::size_t r = 0; r < sample.size(); ++r)
       values[r] = (*sample[r])[c];
     std::sort(values.begin(), values.end());
@@ -66,7 +69,7 @@ void EqualFrequencyDiscretizer::fit(
     // requested — transform_value depends on both.
     XFA_CHECK(std::is_sorted(cuts.begin(), cuts.end()));
     XFA_CHECK_LT(static_cast<int>(cuts.size()), buckets_);
-  }
+  });
   set_cuts(boundaries);
 }
 
@@ -126,12 +129,17 @@ DiscreteTrace EqualFrequencyDiscretizer::transform(
   out.cardinality.resize(cut_count_.size());
   for (std::size_t c = 0; c < cut_count_.size(); ++c)
     out.cardinality[c] = cardinality(c);
-  out.rows.reserve(trace.rows.size());
-  for (const auto& row : trace.rows) {
-    std::vector<int> discrete(row.size());
-    transform_row(row, discrete.data(), 1);
-    out.rows.push_back(std::move(discrete));
-  }
+  // One task per block of rows, each writing only its own rows.
+  constexpr std::size_t kBlock = 128;
+  out.rows.resize(trace.rows.size());
+  const std::size_t blocks = (trace.rows.size() + kBlock - 1) / kBlock;
+  parallel_for(shared_pool(), blocks, [&](std::size_t b) {
+    const std::size_t end = std::min(trace.rows.size(), (b + 1) * kBlock);
+    for (std::size_t r = b * kBlock; r < end; ++r) {
+      out.rows[r].resize(trace.rows[r].size());
+      transform_row(trace.rows[r], out.rows[r].data(), 1);
+    }
+  });
   return out;
 }
 

@@ -40,7 +40,10 @@ class EqualFrequencyDiscretizer {
 
   /// Learns per-column bucket boundaries from (a random subset of) normal
   /// training rows. `max_fit_rows` implements the paper's "pre-filtering
-  /// process using a small random subset" (0 = use everything).
+  /// process using a small random subset" (0 = use everything). The subset
+  /// is drawn first, on the calling thread; then each column's cuts are
+  /// computed as one parallel_for index on the shared pool, so the cuts are
+  /// identical for any pool size.
   void fit(const std::vector<std::vector<double>>& rows,
            std::size_t max_fit_rows = 0, std::uint64_t seed = 7);
 
@@ -53,7 +56,9 @@ class EqualFrequencyDiscretizer {
   /// Maps a value of `column` to its bucket index.
   int transform_value(std::size_t column, double value) const;
 
-  /// Applies the fitted mapping to a whole trace.
+  /// Applies the fitted mapping to a whole trace, one 128-row block per
+  /// parallel_for index on the shared pool; every row lands in its own slot,
+  /// so the result is identical for any pool size.
   DiscreteTrace transform(const RawTrace& trace) const;
 
   /// Applies the fitted mapping to rows [first, first + count) of a trace,

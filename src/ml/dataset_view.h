@@ -14,6 +14,10 @@
 // size a popcount. They cost Σ cardinality × ⌈rows/64⌉ words, built in the
 // constructor and read-only afterwards, so concurrent fits share them.
 //
+// The constructor builds one column per parallel_for index on the shared
+// pool (its values, their range checks and its bitsets); each column owns
+// its slice of the buffers, so the view is identical for any pool size.
+//
 // The view copies values (int32, column-major) and keeps a pointer to the
 // source Dataset so code that still needs the row-major layout (the
 // submodel-accuracy ranker scores whole held-out rows) can reach it. It
@@ -31,7 +35,8 @@ namespace xfa {
 class DatasetView {
  public:
   /// Aborts unless every row has the schema's width and every value lies in
-  /// [0, cardinality) of its column.
+  /// [0, cardinality) of its column; the report names the first offending
+  /// row (and, for a value, column) in row-major order.
   explicit DatasetView(const Dataset& data);
 
   std::size_t rows() const { return rows_; }

@@ -70,12 +70,11 @@ void sort_ranking(std::vector<RankedFeature>& ranked) {
 /// One fused pass per candidate: every pairwise joint histogram against the
 /// other candidates is counted from the column-major spans, then folded into
 /// MI terms through one memoized log2 table owned by the task. Writes only
-/// scores[slot], so parallel execution is bit-identical to serial.
+/// scores[slot], so the scores are bit-identical for any pool size.
 void rank_mutual_information(const DatasetView& view,
                              const std::vector<std::size_t>& candidates,
                              const std::vector<std::size_t>& sample,
-                             std::vector<double>& scores,
-                             std::size_t threads) {
+                             std::vector<double>& scores) {
   // Marginals over the sampled rows, shared read-only by every task.
   std::vector<std::vector<std::int32_t>> marginals(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -106,11 +105,7 @@ void rank_mutual_information(const DatasetView& view,
             ? total / static_cast<double>(candidates.size() - 1)
             : 0.0;
   };
-  if (threads == 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) rank_one(i);
-  } else {
-    parallel_for(shared_pool(), candidates.size(), rank_one);
-  }
+  parallel_for(shared_pool(), candidates.size(), rank_one);
 }
 
 /// Trains one sub-model per candidate on the leading rows and scores its
@@ -120,8 +115,7 @@ void rank_submodel_accuracy(const DatasetView& view,
                             const std::vector<std::size_t>& candidates,
                             const ClassifierFactory& factory,
                             double holdout_fraction,
-                            std::vector<double>& scores,
-                            std::size_t threads) {
+                            std::vector<double>& scores) {
   const Dataset& data = view.source();
   const std::size_t rows = data.rows.size();
   if (rows < 2) {
@@ -156,11 +150,7 @@ void rank_submodel_accuracy(const DatasetView& view,
     }
     scores[i] = static_cast<double>(matched) / static_cast<double>(holdout);
   };
-  if (threads == 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) rank_one(i);
-  } else {
-    parallel_for(shared_pool(), candidates.size(), rank_one);
-  }
+  parallel_for(shared_pool(), candidates.size(), rank_one);
 }
 
 }  // namespace
@@ -201,8 +191,7 @@ double mutual_information(std::span<const std::int32_t> x, int cardinality_x,
 FeatureRanking rank_features(const DatasetView& view,
                              const std::vector<std::size_t>& candidates,
                              const FeatureSelectionConfig& config,
-                             const ClassifierFactory& factory,
-                             std::size_t threads) {
+                             const ClassifierFactory& factory) {
   for (const std::size_t col : candidates)
     XFA_CHECK_LT(col, view.columns()) << "ranking column out of range";
 
@@ -217,12 +206,12 @@ FeatureRanking rank_features(const DatasetView& view,
     case FeatureRanker::MutualInformation: {
       const std::vector<std::size_t> sample =
           sampled_rows(view.rows(), config.max_rank_rows);
-      rank_mutual_information(view, candidates, sample, scores, threads);
+      rank_mutual_information(view, candidates, sample, scores);
       break;
     }
     case FeatureRanker::SubmodelAccuracy:
       rank_submodel_accuracy(view, candidates, factory,
-                             config.holdout_fraction, scores, threads);
+                             config.holdout_fraction, scores);
       break;
   }
 

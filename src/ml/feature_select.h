@@ -89,15 +89,14 @@ double mutual_information(std::span<const std::int32_t> x, int cardinality_x,
 
 /// Ranks `candidates` (no duplicates, all < view.columns()) with the
 /// configured ranker. `factory` is consulted only by SubmodelAccuracy;
-/// MutualInformation ignores it (pass anything). `threads == 1` forces the
-/// serial path; any other value uses the shared pool. Results are
-/// bit-identical either way. FeatureRanker::None returns every candidate
-/// with score 0 in input order.
+/// MutualInformation ignores it (pass anything). Candidates are ranked in
+/// parallel on the shared pool; results are bit-identical for any pool
+/// size. FeatureRanker::None returns every candidate with score 0 in input
+/// order.
 FeatureRanking rank_features(const DatasetView& view,
                              const std::vector<std::size_t>& candidates,
                              const FeatureSelectionConfig& config,
-                             const ClassifierFactory& factory,
-                             std::size_t threads = 0);
+                             const ClassifierFactory& factory);
 
 /// Applies the top-k cap and min-score floor to a ranking; the survivors
 /// come back in ascending column order (the trainer's iteration order, so

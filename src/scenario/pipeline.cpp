@@ -179,7 +179,7 @@ Result<Detector> train_detector_checked(const RawTrace& train_normal,
   }
 
   const Status trained = detector.model.train(
-      dataset, label_columns, factory, options.selection, options.threads);
+      dataset, label_columns, factory, options.selection);
   if (!trained.ok()) return trained;
 
   const std::vector<EventScore> calibration_scores =

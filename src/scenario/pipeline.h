@@ -108,7 +108,9 @@ struct DetectorOptions {
   int buckets = 5;                 // paper: "we choose the bucket number to be 5"
   double min_relative_gap = 0.25;  // discretizer cut-separation guard
   double false_alarm_rate = 0.02;  // confidence level = 1 - FAR
-  std::size_t threads = 0;         // 0 = hardware concurrency
+  /// Ignored: training always runs on the shared pool. Kept only because
+  /// the benchmark driver (perf/xfa_perf.cpp) still reads it.
+  std::size_t threads = 0;
   /// Sampling periods to keep (ablation B); empty = the standard {5,60,900}.
   std::vector<SimTime> periods;
   /// Feature-selection stage (DESIGN.md §16): rank the classifiable columns

@@ -9,6 +9,7 @@
 #include "cfa/model.h"
 #include "cfa/threshold.h"
 #include "eval/pr.h"
+#include "exec/thread_pool.h"
 #include "ml/c45.h"
 #include "ml/naive_bayes.h"
 #include "ml/ripper.h"
@@ -44,7 +45,7 @@ bool is_normal_event(int r, int d, int c) {
 
 TEST(CrossFeature, TrainsOneSubmodelPerLabelColumn) {
   CrossFeatureModel model;
-  model.train(table1(), {0, 1, 2}, nbc(), 1);
+  model.train(table1(), {0, 1, 2}, nbc());
   EXPECT_EQ(model.submodel_count(), 3u);
   EXPECT_EQ(model.label_column_of(1), 1u);
   EXPECT_TRUE(model.trained());
@@ -54,7 +55,7 @@ TEST(CrossFeature, TwoNodeExampleSeparatesNormalFromAbnormal) {
   // The paper's Table 3 conclusion: with threshold 0.5, average probability
   // separates all 8 events correctly (match count has one false alarm).
   CrossFeatureModel model;
-  model.train(table1(), {0, 1, 2}, nbc(), 1);
+  model.train(table1(), {0, 1, 2}, nbc());
   for (int r = 0; r < 2; ++r) {
     for (int d = 0; d < 2; ++d) {
       for (int c = 0; c < 2; ++c) {
@@ -73,7 +74,7 @@ TEST(CrossFeature, TwoNodeExampleSeparatesNormalFromAbnormal) {
 
 TEST(CrossFeature, NormalEventsScoreHigherThanAbnormal) {
   CrossFeatureModel model;
-  model.train(table1(), {0, 1, 2}, nbc(), 1);
+  model.train(table1(), {0, 1, 2}, nbc());
   double min_normal = 1.0, max_abnormal = 0.0;
   for (int r = 0; r < 2; ++r)
     for (int d = 0; d < 2; ++d)
@@ -89,7 +90,7 @@ TEST(CrossFeature, NormalEventsScoreHigherThanAbnormal) {
 
 TEST(CrossFeature, MatchCountIsFractionOfAgreeingSubmodels) {
   CrossFeatureModel model;
-  model.train(table1(), {0, 1, 2}, nbc(), 1);
+  model.train(table1(), {0, 1, 2}, nbc());
   const EventScore score = model.score({1, 1, 1});
   // Match count is k/3 for integer k.
   const double k = score.avg_match_count * 3.0;
@@ -108,7 +109,7 @@ TEST(CrossFeature, ScoresBoundedInUnitInterval) {
                          static_cast<int>(rng.uniform_int(3))});
   }
   CrossFeatureModel model;
-  model.train(data, {0, 1, 2, 3}, c45(), 1);
+  model.train(data, {0, 1, 2, 3}, c45());
   for (int a = 0; a < 3; ++a)
     for (int b = 0; b < 3; ++b) {
       const EventScore score = model.score({a, b, a, b});
@@ -131,14 +132,14 @@ TEST(CrossFeature, CorrelatedFeaturesDetectBrokenCorrelation) {
         {v, v, 3 - v, static_cast<int>(rng.uniform_int(2))});
   }
   CrossFeatureModel model;
-  model.train(data, {0, 1, 2, 3}, c45(), 1);
+  model.train(data, {0, 1, 2, 3}, c45());
   const EventScore normal = model.score({2, 2, 1, 0});
   const EventScore broken = model.score({2, 0, 3, 0});
   EXPECT_GT(normal.avg_probability, broken.avg_probability);
   EXPECT_GT(normal.avg_match_count, broken.avg_match_count);
 }
 
-TEST(CrossFeature, ParallelTrainingMatchesSerial) {
+TEST(CrossFeature, TrainingMatchesAcrossPoolSizes) {
   Rng rng(9);
   Dataset data;
   data.cardinality = {3, 3, 3, 3, 3};
@@ -147,13 +148,16 @@ TEST(CrossFeature, ParallelTrainingMatchesSerial) {
     data.rows.push_back({v, (v + 1) % 3, v, static_cast<int>(
         rng.uniform_int(3)), (v + 2) % 3});
   }
-  CrossFeatureModel serial, parallel;
+  CrossFeatureModel narrow, wide;
   const std::vector<std::size_t> columns = {0, 1, 2, 3, 4};
-  serial.train(data, columns, c45(), 1);
-  parallel.train(data, columns, c45(), 4);
+  resize_shared_pool(1);
+  narrow.train(data, columns, c45());
+  resize_shared_pool(4);
+  wide.train(data, columns, c45());
+  resize_shared_pool(0);
   for (const auto& row : data.rows) {
-    const EventScore a = serial.score(row);
-    const EventScore b = parallel.score(row);
+    const EventScore a = narrow.score(row);
+    const EventScore b = wide.score(row);
     EXPECT_DOUBLE_EQ(a.avg_probability, b.avg_probability);
     EXPECT_DOUBLE_EQ(a.avg_match_count, b.avg_match_count);
   }
@@ -162,7 +166,7 @@ TEST(CrossFeature, ParallelTrainingMatchesSerial) {
 TEST(CrossFeature, ScoreAllMatchesScore) {
   const Dataset data = table1();
   CrossFeatureModel model;
-  model.train(data, {0, 1, 2}, nbc(), 1);
+  model.train(data, {0, 1, 2}, nbc());
   const auto scores = model.score_all(data.rows);
   ASSERT_EQ(scores.size(), data.rows.size());
   for (std::size_t i = 0; i < data.rows.size(); ++i)
@@ -201,7 +205,7 @@ TEST(CrossFeature, ConstantLabelColumnIsSkippedAndRenormalized) {
     data.rows.push_back({v, 0, (v + 1) % 3});
   }
   CrossFeatureModel model;
-  ASSERT_TRUE(model.train(data, {0, 1, 2}, c45(), 1).ok());
+  ASSERT_TRUE(model.train(data, {0, 1, 2}, c45()).ok());
   EXPECT_EQ(model.submodel_count(), 2u);
   ASSERT_EQ(model.skipped_columns().size(), 1u);
   EXPECT_EQ(model.skipped_columns()[0], 1u);
@@ -212,7 +216,7 @@ TEST(CrossFeature, ConstantLabelColumnIsSkippedAndRenormalized) {
 
   // A label set with no discriminative column cannot train at all.
   CrossFeatureModel constant_only;
-  const Status status = constant_only.train(data, {1}, c45(), 1);
+  const Status status = constant_only.train(data, {1}, c45());
   EXPECT_EQ(status.code(), StatusCode::kTrainFailed);
   EXPECT_FALSE(constant_only.trained());
 }
@@ -220,7 +224,7 @@ TEST(CrossFeature, ConstantLabelColumnIsSkippedAndRenormalized) {
 TEST(CrossFeature, LabelColumnSubsetRestrictsSubmodels) {
   const Dataset data = table1();
   CrossFeatureModel model;
-  model.train(data, {0, 2}, nbc(), 1);  // skip column 1
+  model.train(data, {0, 2}, nbc());  // skip column 1
   EXPECT_EQ(model.submodel_count(), 2u);
   EXPECT_EQ(model.label_column_of(0), 0u);
   EXPECT_EQ(model.label_column_of(1), 2u);
@@ -236,7 +240,7 @@ TEST(CrossFeature, ExplainRanksDeviatingFeaturesFirst) {
     data.rows.push_back({v, v, v});
   }
   CrossFeatureModel model;
-  model.train(data, {0, 1, 2}, c45(), 1);
+  model.train(data, {0, 1, 2}, c45());
   const auto verdicts = model.explain({2, 2, 0});  // column 2 broken
   ASSERT_EQ(verdicts.size(), 3u);
   EXPECT_EQ(verdicts.front().label_column, 2u);
@@ -263,7 +267,7 @@ TEST(CrossFeature, ExplainBreaksProbabilityTiesByLabelColumn) {
   for (const std::vector<std::size_t>& order :
        {std::vector<std::size_t>{0, 1, 2}, std::vector<std::size_t>{2, 0, 1}}) {
     CrossFeatureModel model;
-    ASSERT_TRUE(model.train(data, order, c45(), 1).ok());
+    ASSERT_TRUE(model.train(data, order, c45()).ok());
     const auto verdicts = model.explain({1, 1, 1});
     ASSERT_EQ(verdicts.size(), 3u);
     for (std::size_t i = 0; i < verdicts.size(); ++i) {
@@ -278,7 +282,7 @@ TEST(CrossFeatureDeathTest, RejectsRowNarrowerThanTrainedSchema) {
   // A truncated event row would index past its end inside every sub-model;
   // the schema-width contract fires before any out-of-bounds read.
   CrossFeatureModel model;
-  model.train(table1(), {0, 1, 2}, nbc(), 1);
+  model.train(table1(), {0, 1, 2}, nbc());
   EXPECT_DEATH(model.explain({1, 1}), "narrower than the trained schema");
   EXPECT_DEATH(model.score({1}), "narrower than the trained schema");
 }
@@ -315,7 +319,7 @@ class TwoNodeParamTest : public ::testing::TestWithParam<int> {};
 TEST_P(TwoNodeParamTest, HardAbnormalEventsScoreLowest) {
   ClassifierFactory factory = GetParam() == 0 ? c45() : nbc();
   CrossFeatureModel model;
-  model.train(table1(), {0, 1, 2}, factory, 1);
+  model.train(table1(), {0, 1, 2}, factory);
   // {True, False, True} never appears and breaks every correlation.
   const double hard = model.score({1, 0, 1}).avg_probability;
   for (const auto& row : table1().rows)
@@ -328,7 +332,7 @@ INSTANTIATE_TEST_SUITE_P(TreeAndBayes, TwoNodeParamTest,
 TEST(CrossFeature, RipperOnTinyDataStaysBounded) {
   CrossFeatureModel model;
   model.train(table1(), {0, 1, 2},
-              [] { return std::make_unique<Ripper>(); }, 1);
+              [] { return std::make_unique<Ripper>(); });
   for (int r = 0; r < 2; ++r)
     for (int d = 0; d < 2; ++d)
       for (int c = 0; c < 2; ++c) {
@@ -384,7 +388,7 @@ TEST(CrossFeatureFraud, SeparatesFraudFromNormal) {
   CrossFeatureModel model;
   ASSERT_TRUE(model
                   .train(train, {0, 1, 2, 3, 4},
-                         [] { return std::make_unique<C45>(); }, 1)
+                         [] { return std::make_unique<C45>(); })
                   .ok());
 
   // Threshold at 1% false alarms on held-out normal transactions.

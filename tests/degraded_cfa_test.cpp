@@ -41,12 +41,12 @@ TEST(DegradedCfa, SkippedColumnMatchesModelTrainedWithoutIt) {
   const Dataset data = dataset_with_constant_column();
 
   CrossFeatureModel degraded;
-  ASSERT_TRUE(degraded.train(data, {0, 1, 2, 3}, c45(), 1).ok());
+  ASSERT_TRUE(degraded.train(data, {0, 1, 2, 3}, c45()).ok());
   ASSERT_EQ(degraded.skipped_columns(), std::vector<std::size_t>{1});
   ASSERT_EQ(degraded.submodel_count(), 3u);
 
   CrossFeatureModel reference;
-  ASSERT_TRUE(reference.train(data, {0, 2, 3}, c45(), 1).ok());
+  ASSERT_TRUE(reference.train(data, {0, 2, 3}, c45()).ok());
   EXPECT_TRUE(reference.skipped_columns().empty());
   ASSERT_EQ(reference.submodel_count(), 3u);
 
@@ -62,19 +62,19 @@ TEST(DegradedCfa, UnusableInputsSurfaceAsStatusNotAbort) {
   const Dataset data = dataset_with_constant_column();
 
   CrossFeatureModel all_constant;
-  const Status train_failed = all_constant.train(data, {1}, c45(), 1);
+  const Status train_failed = all_constant.train(data, {1}, c45());
   EXPECT_EQ(train_failed.code(), StatusCode::kTrainFailed);
   EXPECT_FALSE(all_constant.trained());
 
   CrossFeatureModel empty;
-  EXPECT_EQ(empty.train(Dataset{}, {0}, c45(), 1).code(),
+  EXPECT_EQ(empty.train(Dataset{}, {0}, c45()).code(),
             StatusCode::kDegenerateData);
 
   CrossFeatureModel bad_column;
-  EXPECT_EQ(bad_column.train(data, {0, 99}, c45(), 1).code(),
+  EXPECT_EQ(bad_column.train(data, {0, 99}, c45()).code(),
             StatusCode::kInvalidArgument);
   CrossFeatureModel no_columns;
-  EXPECT_EQ(no_columns.train(data, {}, c45(), 1).code(),
+  EXPECT_EQ(no_columns.train(data, {}, c45()).code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -3,8 +3,10 @@
 // nested-parallelism (cooperative draining) guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <set>
 #include <string>
@@ -201,6 +203,75 @@ TEST(ParallelFor, NestedInsidePoolTasksDoesNotDeadlock) {
                  [&inner_total](std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 64);
+}
+
+TEST(ParallelFor, OneCostlyIndexStillRunsEveryIndexOnce) {
+  // Index 5 costs 100x the others: whoever claims it, the rest of the
+  // indices are claimed by the other threads, each exactly once.
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::uint64_t> sink{0};
+  parallel_for(pool, kN, [&hits, &sink](std::size_t i) {
+    const int rounds = i == 5 ? 100 * 2000 : 2000;
+    std::uint64_t x = i;
+    for (int k = 0; k < rounds; ++k)
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    sink.fetch_add(x, std::memory_order_relaxed);
+    hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ParallelFor, CompletesOnCallerWhileEveryWorkerIsParked) {
+  // Every worker waits on a gate that opens only after parallel_for
+  // returns, so the calling thread must run every index itself.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<std::size_t> parked{0};
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool.submit([&parked, gate] {
+      parked.fetch_add(1);
+      gate.wait();
+    });
+  }
+  while (parked.load() < pool.size()) std::this_thread::yield();
+  const ExecStats before = pool.stats();
+  std::vector<std::thread::id> ran_on(16);
+  parallel_for(pool, ran_on.size(), [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  });
+  const ExecStats after = pool.stats();
+  release.set_value();
+  for (const std::thread::id id : ran_on)
+    EXPECT_EQ(id, std::this_thread::get_id());
+  // The caller's share is timed like a task, and the two helpers it ran
+  // from the queue (after every index was claimed) are counted too.
+  EXPECT_EQ(after.tasks_executed - before.tasks_executed, 3u);
+  EXPECT_GE(after.task_wall_seconds - before.task_wall_seconds,
+            16 * 50e-6);
+}
+
+TEST(ParallelFor, CountsHelpersAndCallerShareAsTasks) {
+  // min(n - 1, pool size) helpers plus the caller's timed share, whoever
+  // ends up running the indices; a single index runs inline, uncounted.
+  ThreadPool pool(3);
+  for (const std::size_t n : {1u, 2u, 3u, 10u}) {
+    const ExecStats before = pool.stats();
+    parallel_for(pool, n, [](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+    const std::uint64_t want = n == 1 ? 0 : std::min<std::size_t>(n - 1, 3) + 1;
+    // wait() can return a beat before a helper's instrumentation lands.
+    ExecStats after = pool.stats();
+    while (after.tasks_executed - before.tasks_executed < want) {
+      std::this_thread::yield();
+      after = pool.stats();
+    }
+    EXPECT_EQ(after.tasks_executed - before.tasks_executed, want) << n;
+  }
 }
 
 TEST(SingleFlight, ConcurrentCallersShareOneExecution) {

@@ -76,7 +76,7 @@ TEST(FeatSel, MiRankerMatchesBruteForceOracle) {
   const std::vector<std::size_t> candidates = {0, 1, 2, 3, 4, 5};
 
   const FeatureRanking ranking =
-      rank_features(view, candidates, mi_config(0), c45(), 1);
+      rank_features(view, candidates, mi_config(0), c45());
   ASSERT_EQ(ranking.ranked.size(), candidates.size());
 
   for (const RankedFeature& feature : ranking.ranked) {
@@ -104,7 +104,7 @@ TEST(FeatSel, MiRankerPutsCorrelatedBlockFirst) {
   const Dataset data = structured_dataset();
   const DatasetView view(data);
   const FeatureRanking ranking =
-      rank_features(view, {0, 1, 2, 3, 4, 5}, mi_config(0), c45(), 1);
+      rank_features(view, {0, 1, 2, 3, 4, 5}, mi_config(0), c45());
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_LT(ranking.ranked[i].column, 3u)
         << "rank " << i << " is column " << ranking.ranked[i].column;
@@ -120,21 +120,21 @@ TEST(FeatSel, RankingIsBitIdenticalForAnyPoolSize) {
        {FeatureRanker::MutualInformation, FeatureRanker::SubmodelAccuracy}) {
     FeatureSelectionConfig config;
     config.ranker = ranker;
-    const FeatureRanking serial =
-        rank_features(view, candidates, config, nbc(), 1);
+    const FeatureRanking reference =
+        rank_features(view, candidates, config, nbc());
     resize_shared_pool(8);
     const FeatureRanking pooled =
-        rank_features(view, candidates, config, nbc(), 0);
+        rank_features(view, candidates, config, nbc());
     resize_shared_pool(1);
     const FeatureRanking narrow =
-        rank_features(view, candidates, config, nbc(), 0);
+        rank_features(view, candidates, config, nbc());
 
-    ASSERT_EQ(pooled.ranked.size(), serial.ranked.size());
-    for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
-      EXPECT_EQ(pooled.ranked[i].column, serial.ranked[i].column);
-      EXPECT_EQ(pooled.ranked[i].score, serial.ranked[i].score);
-      EXPECT_EQ(narrow.ranked[i].column, serial.ranked[i].column);
-      EXPECT_EQ(narrow.ranked[i].score, serial.ranked[i].score);
+    ASSERT_EQ(pooled.ranked.size(), reference.ranked.size());
+    for (std::size_t i = 0; i < reference.ranked.size(); ++i) {
+      EXPECT_EQ(pooled.ranked[i].column, reference.ranked[i].column);
+      EXPECT_EQ(pooled.ranked[i].score, reference.ranked[i].score);
+      EXPECT_EQ(narrow.ranked[i].column, reference.ranked[i].column);
+      EXPECT_EQ(narrow.ranked[i].score, reference.ranked[i].score);
     }
   }
 }
@@ -145,7 +145,7 @@ TEST(FeatSel, SubmodelAccuracyScoresAreAccuracies) {
   FeatureSelectionConfig config;
   config.ranker = FeatureRanker::SubmodelAccuracy;
   const FeatureRanking ranking =
-      rank_features(view, {0, 1, 2, 3, 4, 5}, config, c45(), 1);
+      rank_features(view, {0, 1, 2, 3, 4, 5}, config, c45());
   for (const RankedFeature& feature : ranking.ranked) {
     EXPECT_GE(feature.score, 0.0);
     EXPECT_LE(feature.score, 1.0);
@@ -185,7 +185,7 @@ TEST(FeatSel, TopKTrainMatchesExplicitlyReducedColumnSet) {
 
   CrossFeatureModel selected;
   ASSERT_TRUE(
-      selected.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(3), 1).ok());
+      selected.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(3)).ok());
   ASSERT_EQ(selected.submodel_count(), 3u);
   ASSERT_EQ(selected.selected_out_columns().size(), 3u);
   EXPECT_EQ(selected.skipped_columns(), selected.selected_out_columns());
@@ -195,7 +195,7 @@ TEST(FeatSel, TopKTrainMatchesExplicitlyReducedColumnSet) {
     kept.push_back(selected.label_column_of(i));
 
   CrossFeatureModel reference;
-  ASSERT_TRUE(reference.train(data, kept, c45(), 1).ok());
+  ASSERT_TRUE(reference.train(data, kept, c45()).ok());
   ASSERT_EQ(reference.submodel_count(), selected.submodel_count());
 
   for (const auto& row : data.rows) {
@@ -212,11 +212,11 @@ TEST(FeatSel, KAllIsBitIdenticalToNoSelection) {
   const Dataset data = structured_dataset();
 
   CrossFeatureModel plain;
-  ASSERT_TRUE(plain.train(data, {0, 1, 2, 3, 4, 5}, c45(), 1).ok());
+  ASSERT_TRUE(plain.train(data, {0, 1, 2, 3, 4, 5}, c45()).ok());
 
   CrossFeatureModel ranked;
   ASSERT_TRUE(
-      ranked.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(0), 1).ok());
+      ranked.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(0)).ok());
 
   ASSERT_EQ(ranked.submodel_count(), plain.submodel_count());
   for (std::size_t i = 0; i < plain.submodel_count(); ++i)
@@ -236,7 +236,7 @@ TEST(FeatSel, ScoreAllByteIdenticalAcrossPoolSizes) {
   const Dataset data = structured_dataset();
   CrossFeatureModel model;
   ASSERT_TRUE(
-      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(4), 1).ok());
+      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(4)).ok());
 
   PoolGuard guard;
   resize_shared_pool(1);
@@ -261,7 +261,7 @@ TEST(FeatSel, ComposesWithDegenerateColumnSkip) {
 
   CrossFeatureModel model;
   ASSERT_TRUE(
-      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(3), 1).ok());
+      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(3)).ok());
   ASSERT_EQ(model.submodel_count(), 3u);
 
   const std::vector<std::size_t>& skipped = model.skipped_columns();
@@ -279,7 +279,7 @@ TEST(FeatSel, FloorAboveEveryScoreFailsTrainSoft) {
   const Dataset data = structured_dataset();
   CrossFeatureModel model;
   const Status status =
-      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(0, 1e9), 1);
+      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(0, 1e9));
   EXPECT_EQ(status.code(), StatusCode::kTrainFailed);
   EXPECT_FALSE(model.trained());
 }
@@ -289,11 +289,11 @@ TEST(FeatSel, RetrainWithoutSelectionClearsState) {
   const Dataset data = structured_dataset();
   CrossFeatureModel model;
   ASSERT_TRUE(
-      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(2), 1).ok());
+      model.train(data, {0, 1, 2, 3, 4, 5}, c45(), mi_config(2)).ok());
   ASSERT_TRUE(model.selection().active());
   ASSERT_FALSE(model.ranking().ranked.empty());
 
-  ASSERT_TRUE(model.train(data, {0, 1, 2, 3, 4, 5}, c45(), 1).ok());
+  ASSERT_TRUE(model.train(data, {0, 1, 2, 3, 4, 5}, c45()).ok());
   EXPECT_FALSE(model.selection().active());
   EXPECT_TRUE(model.ranking().ranked.empty());
   EXPECT_TRUE(model.selected_out_columns().empty());

@@ -110,8 +110,7 @@ TEST(PaperProperties, ScoresAlwaysInUnitIntervalOverWholeTraces) {
   options.base_seed = 9900;
   const ExperimentData data = gather_experiment_checked(
       RoutingKind::Aodv, TransportKind::Udp, options).value();
-  DetectorOptions detector_options;
-  detector_options.threads = 1;
+  const DetectorOptions detector_options;
   for (const NamedFactory& classifier : paper_classifiers()) {
     const Detector detector =
         train_detector_checked(data.train_normal, classifier.factory,
@@ -154,7 +153,7 @@ TEST(PaperProperties, AlgorithmsAgreeOnExtremeEvents) {
     data.rows.push_back({v, v, v});
   }
   CrossFeatureModel model;
-  model.train(data, {0, 1, 2}, make_c45_factory(), 1);
+  model.train(data, {0, 1, 2}, make_c45_factory());
   const EventScore all_match = model.score({2, 2, 2});
   const EventScore none_match = model.score({0, 1, 2});
   EXPECT_GT(all_match.avg_match_count, 0.99);

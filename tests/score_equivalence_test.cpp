@@ -12,11 +12,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfa/model.h"
 #include "common/crc64.h"
 #include "exec/thread_pool.h"
+#include "features/discretize.h"
 #include "ml/c45.h"
 #include "ml/dataset_view.h"
 #include "ml/naive_bayes.h"
@@ -137,6 +139,80 @@ TEST(DatasetViewTest, OutOfRangeValueAborts) {
   EXPECT_DEATH(DatasetView{data}, "out of cardinality range");
   data.rows[5][2] = -1;
   EXPECT_DEATH(DatasetView{data}, "out of cardinality range");
+  // Columns are checked in parallel; the report still names the first bad
+  // value in row-major order.
+  data.rows[6][0] = 9;
+  data.rows[5][3] = 7;
+  EXPECT_DEATH(DatasetView{data}, "range at row 5, column 2");
+}
+
+// -- Pool-size equivalence of discretizing and view building ---------------
+
+/// Continuous rows with ties (values on a coarse grid) so quantile cuts
+/// merge in some columns, across several 128-row transform blocks.
+RawTrace continuous_trace(std::size_t rows, std::size_t columns,
+                          std::uint64_t seed) {
+  RawTrace trace;
+  Rng rng(seed);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<double> row(columns);
+    for (std::size_t c = 0; c < columns; ++c)
+      row[c] = static_cast<double>(rng.uniform_int(c % 3 == 0 ? 4 : 1000)) *
+               (1.0 + static_cast<double>(c));
+    trace.times.push_back(static_cast<SimTime>(r));
+    trace.rows.push_back(std::move(row));
+    trace.labels.push_back(0);
+  }
+  return trace;
+}
+
+TEST(PoolSizeEquivalence, DiscretizerCutsAndRows) {
+  const RawTrace trace = continuous_trace(1000, 40, 5);
+  PoolGuard guard;
+  const auto discretize = [&](std::size_t pool_size) {
+    resize_shared_pool(pool_size);
+    EqualFrequencyDiscretizer discretizer;
+    discretizer.fit(trace.rows, /*max_fit_rows=*/500);
+    std::vector<std::vector<double>> cuts;
+    for (std::size_t c = 0; c < discretizer.columns(); ++c)
+      cuts.emplace_back(discretizer.cuts(c).begin(), discretizer.cuts(c).end());
+    return std::pair{cuts, discretizer.transform(trace).rows};
+  };
+  const auto reference = discretize(1);
+  ASSERT_EQ(reference.first.size(), 40u);
+  ASSERT_EQ(reference.second.size(), 1000u);
+  for (const std::size_t pool_size : {2u, 8u}) {
+    const auto pooled = discretize(pool_size);
+    EXPECT_EQ(pooled.first, reference.first) << "pool size " << pool_size;
+    EXPECT_EQ(pooled.second, reference.second) << "pool size " << pool_size;
+  }
+}
+
+TEST(PoolSizeEquivalence, DatasetViewValuesAndRowBits) {
+  const Dataset data = correlated_dataset(700, 40, 23);
+  PoolGuard guard;
+  const auto build = [&](std::size_t pool_size) {
+    resize_shared_pool(pool_size);
+    const DatasetView view(data);
+    std::vector<std::int32_t> values;
+    std::vector<std::uint64_t> bits;
+    for (std::size_t c = 0; c < view.columns(); ++c) {
+      const auto column = view.column(c);
+      values.insert(values.end(), column.begin(), column.end());
+      for (int v = 0; v < view.cardinality(c); ++v) {
+        const auto row_bits = view.row_bits(c, v);
+        bits.insert(bits.end(), row_bits.begin(), row_bits.end());
+      }
+    }
+    return std::pair{values, bits};
+  };
+  const auto reference = build(1);
+  ASSERT_EQ(reference.first.size(), 700u * 40u);
+  for (const std::size_t pool_size : {2u, 8u}) {
+    const auto pooled = build(pool_size);
+    EXPECT_EQ(pooled.first, reference.first) << "pool size " << pool_size;
+    EXPECT_EQ(pooled.second, reference.second) << "pool size " << pool_size;
+  }
 }
 
 // -- Scoring equivalence (serial vs block-parallel) ------------------------
@@ -147,7 +223,7 @@ TEST_P(FamilyParamTest, ScoreAllBitIdenticalAcrossThreadCounts) {
   const Dataset data = correlated_dataset(200, 12, 31);
   CrossFeatureModel model;
   ASSERT_TRUE(
-      model.train(data, iota_columns(12), factory_for(GetParam()), 1).ok());
+      model.train(data, iota_columns(12), factory_for(GetParam())).ok());
 
   PoolGuard guard;
   resize_shared_pool(1);
@@ -172,24 +248,24 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyParamTest,
                          ::testing::Values(0, 1, 2));
 
 // RIPPER sub-model fits share one DatasetView and its row bitsets read-only;
-// fitting them on 2 and 8 pool threads must give the serial fit's rules.
+// fitting them on 2 and 8 pool threads must give a one-worker pool's rules.
 TEST(RipperTest, ParallelTrainMatchesSerial) {
   const Dataset data = correlated_dataset(700, 12, 37);
-  const auto rules_of = [&](std::size_t threads) {
+  const auto rules_of = [&] {
     CrossFeatureModel model;
-    EXPECT_TRUE(
-        model.train(data, iota_columns(12), factory_for(1), threads).ok());
+    EXPECT_TRUE(model.train(data, iota_columns(12), factory_for(1)).ok());
     std::vector<std::string> rules;
     for (std::size_t i = 0; i < model.submodel_count(); ++i)
       rules.push_back(model.submodel(i).describe({}));
     return rules;
   };
   PoolGuard guard;
-  const std::vector<std::string> serial = rules_of(1);
+  resize_shared_pool(1);
+  const std::vector<std::string> serial = rules_of();
   ASSERT_EQ(serial.size(), 12u);
   for (const std::size_t pool_size : {2u, 8u}) {
     resize_shared_pool(pool_size);
-    EXPECT_EQ(rules_of(0), serial) << "pool size " << pool_size;
+    EXPECT_EQ(rules_of(), serial) << "pool size " << pool_size;
   }
 }
 
@@ -295,7 +371,7 @@ TEST_P(BlockKernelTest, ScoreAllMatchesOneRowScoring) {
   const Dataset data = correlated_dataset(300, 12, 41);
   CrossFeatureModel model;
   ASSERT_TRUE(
-      model.train(data, iota_columns(12), factory_for(GetParam()), 1).ok());
+      model.train(data, iota_columns(12), factory_for(GetParam())).ok());
   // One row, one short of a block, exactly one block, one past it, and a
   // ragged last block.
   for (const std::size_t rows : {1, 63, 64, 65, 200})
@@ -311,7 +387,7 @@ TEST_P(BlockKernelTest, ScoresWithUnseenValuesArePinned) {
   const Dataset data = correlated_dataset(300, 12, 41);
   CrossFeatureModel model;
   ASSERT_TRUE(
-      model.train(data, iota_columns(12), factory_for(GetParam()), 1).ok());
+      model.train(data, iota_columns(12), factory_for(GetParam())).ok());
   const std::vector<EventScore> scores =
       model.score_all(rows_with_unseen_values(200, 12, 200));
   EXPECT_EQ(crc64(scores.data(), scores.size() * sizeof(EventScore)),
