@@ -36,7 +36,6 @@ EnvSnapshot read_environment() {
       dir != nullptr && dir[0] != '\0') {
     snapshot.cache_dir = dir;
   }
-  read_unsigned("XFA_SCENARIO_RETRIES", &snapshot.scenario_retries);
   read_unsigned("XFA_THREADS", &snapshot.threads, kMaxThreads);
   read_unsigned("XFA_TRACE_DEADLINE_MS", &snapshot.trace_deadline_ms);
   return snapshot;

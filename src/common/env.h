@@ -21,16 +21,13 @@ struct EnvSnapshot {
   bool no_cache = false;
   /// XFA_CACHE_DIR: trace-cache directory.
   std::string cache_dir = "xfa_cache";
-  /// XFA_SCENARIO_RETRIES: bounded retries for degenerate scenario runs.
-  int scenario_retries = 2;
   /// XFA_THREADS: default worker count for the shared pool; 0 = hardware
   /// concurrency (resolved by the pool, src/exec/thread_pool.h). A value
   /// above kMaxThreads keeps the default.
   std::size_t threads = 0;
   /// XFA_TRACE_DEADLINE_MS: soft wall-clock budget for one trace simulation
-  /// attempt (src/exec/deadline.h); 0 = no deadline. The scenario runner
-  /// doubles the budget on each kDeadlineExceeded retry, reusing the same
-  /// seed so the eventual trace is byte-identical to an undeadlined run.
+  /// (src/exec/deadline.h); 0 = no deadline. A run that overruns it fails
+  /// with kDeadlineExceeded; it is not run again.
   int trace_deadline_ms = 0;
 };
 

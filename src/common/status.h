@@ -6,8 +6,7 @@
 // a filesystem hiccup) are *expected* at production scale and must propagate
 // instead of aborting the process. Functions on such paths return a Status
 // (or a Result<T> carrying either the value or the Status) and the caller
-// decides: regenerate, retry with a derived seed, skip the sub-model, or
-// surface the error.
+// decides: regenerate, skip the sub-model, or surface the error.
 //
 //   Status s = cache.store(key, result);
 //   if (!s.ok()) log(s.to_string());
@@ -38,15 +37,16 @@ enum class StatusCode : std::uint8_t {
   kDegenerateData,
   /// No usable model came out of training (e.g. every sub-model skipped).
   kTrainFailed,
-  /// Transient failure; retrying (possibly with a derived seed) may succeed.
+  /// Transient failure, or work that never ran (a task cancelled before it
+  /// started); asking again may succeed.
   kRetryable,
   /// Filesystem/stream error while reading or writing an artifact.
   kIoError,
   /// The caller passed arguments that cannot be acted on.
   kInvalidArgument,
   /// A task exceeded its soft wall-clock deadline and was cooperatively
-  /// cancelled (src/exec/deadline.h). Retrying with a larger budget — and
-  /// the *same* seed, so determinism holds — may succeed.
+  /// cancelled (src/exec/deadline.h). Its partial results are discarded; a
+  /// run with a larger budget may succeed.
   kDeadlineExceeded,
 };
 

@@ -16,14 +16,15 @@ thread_local Clock::time_point t_deadline = Clock::time_point::max();
 DeadlineGuard::DeadlineGuard(double seconds) : previous_(t_deadline) {
   if (seconds <= 0) return;  // disabled: install nothing
   // Far beyond any real run and far inside the clock's range: a larger
-  // budget (up to infinity, after many doubled retries) would overflow the
-  // integer conversion into a deadline in the past.
+  // budget a caller passes (up to infinity) would overflow the integer
+  // conversion into a deadline in the past.
   constexpr double kMaxSeconds = 1e9;
   const std::chrono::duration<double> budget(std::min(seconds, kMaxSeconds));
   deadline_ =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(budget);
   active_ = true;
-  t_deadline = deadline_;
+  // A nested guard can shorten the thread's deadline, never extend it.
+  t_deadline = std::min(previous_, deadline_);
 }
 
 DeadlineGuard::~DeadlineGuard() {

@@ -9,8 +9,9 @@
 //
 // The deadline is thread-local: only the thread that installed it ever reads
 // or writes it, so there is no lock, no atomic and no helper thread. The
-// guard is scoped: nested guards restore the outer deadline, so a deadline
-// on a pool task never leaks into the next task on that worker. A guard with
+// guard is scoped: the thread runs under the earliest live deadline, and
+// nested guards restore the outer one, so a deadline on a pool task never
+// leaks into the next task on that worker. A guard with
 // a non-positive budget installs nothing (deadlines off), and with no
 // deadline installed the poll is one thread-local read that never touches
 // the clock.

@@ -1,10 +1,8 @@
 // The element-graph builder: wires a validated ScenarioConfig into the live
 // per-node stacks (nodes, routing agents, transport flows, attack scripts,
 // fault injector, audit monitor) by dispatching through the element
-// registry. The legacy hand-rolled construction in runner.cpp is now a thin
-// path through this builder; construction order (and therefore RNG stream
-// assignment) is exactly what simulate() historically did, which is what
-// keeps traces byte-identical across the refactor.
+// registry. Construction order fixes each element's RNG stream, so it is
+// part of every trace's bytes.
 #pragma once
 
 #include <memory>

@@ -69,12 +69,13 @@ struct ExperimentData {
 /// Simulates (or loads) a trace inventory laid out like
 /// experiment_configs(): configs[0] (required) is the training trace, the
 /// next `options.normal_eval_traces` are normal evaluation traces, the rest
-/// are attack traces; labels follow `options.label_policy`. Propagates any
-/// scenario failure (after the runner's bounded retries) instead of
-/// aborting. All trace simulations run concurrently on the shared execution
-/// pool (src/exec) — results are assembled by slot, so the inventory is
-/// byte-identical for any pool size — and the first hard failure cancels
-/// the simulations that have not started yet.
+/// are attack traces; labels follow `options.label_policy`. Propagates a
+/// scenario failure (a degenerate trace or a deadline overrun, see
+/// run_scenario_checked) instead of aborting. All trace simulations run
+/// concurrently on the shared execution pool (src/exec) — results are
+/// assembled by slot, so the inventory is byte-identical for any pool size —
+/// and the first hard failure cancels the simulations that have not started
+/// yet.
 Result<ExperimentData> gather_inventory_checked(
     const std::vector<ScenarioConfig>& configs,
     const ExperimentOptions& options);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +19,10 @@
 namespace xfa {
 namespace {
 
-ScenarioResult simulate(const ScenarioConfig& config) {
+/// One simulation of `config` and the extraction of its monitored node's
+/// trace. Returns kDeadlineExceeded when the calling thread's deadline cut
+/// the run short, whichever guard set it.
+Result<ScenarioResult> simulate(const ScenarioConfig& config) {
   Simulator sim(config.seed);
   // The mobility scenario has its own seed (shared across an experiment's
   // traces, like a reused setdest file).
@@ -62,10 +64,11 @@ ScenarioResult simulate(const ScenarioConfig& config) {
   sim.run_until(config.duration);
 
   // A fired deadline unwinds run_until early, so the sampled node state is
-  // incomplete and extraction's preconditions do not hold. Return an empty
-  // shell instead — simulate_with_deadline() discards it and reports
-  // kDeadlineExceeded.
-  if (deadline_exceeded()) return ScenarioResult{};
+  // incomplete and extraction's preconditions do not hold.
+  if (deadline_exceeded()) {
+    return Status{StatusCode::kDeadlineExceeded,
+                  "scenario simulation cut short by its deadline"};
+  }
 
   // --- Extraction ---------------------------------------------------------
   const FeatureSchema schema = FeatureSchema::standard();
@@ -145,41 +148,12 @@ Status validate_scenario_result(const ScenarioResult& result) {
 
 namespace {
 
-/// SplitMix64-style mix so retry seeds land in unrelated streams while
-/// staying a pure function of (seed, attempt).
-std::uint64_t derive_retry_seed(std::uint64_t seed, int attempt) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL *
-                               static_cast<std::uint64_t>(attempt);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Runs simulate() under a soft wall-clock deadline (exec/deadline.h). The
-/// scheduler polls the guard at dispatch boundaries, so a hung run unwinds
-/// within ~a poll interval of the budget; the truncated world's partial
-/// results are discarded here. `budget_s` <= 0 runs unsupervised.
-Result<ScenarioResult> simulate_with_deadline(const ScenarioConfig& config,
-                                              double budget_s) {
-  if (budget_s <= 0) return simulate(config);
-  DeadlineGuard guard(budget_s);
-  ScenarioResult result = simulate(config);
-  if (guard.exceeded()) {
-    char budget[32];
-    std::snprintf(budget, sizeof budget, "%.3f s", budget_s);
-    return Status{StatusCode::kDeadlineExceeded,
-                  std::string("scenario simulation exceeded its ") + budget +
-                      " deadline"};
-  }
-  return result;
-}
-
-/// Cache, then simulate (with retries), then store — for one config, labels
-/// not yet applied. This is the section the single-flight guard protects:
-/// everything in here is a pure function of the config (retries included),
-/// so one execution serves every concurrent requester of the same key. Two
-/// processes that simulate one key publish identical bytes by atomic rename,
-/// so no cross-process coordination is needed.
+/// Cache, then simulate, then store — for one config, labels not yet
+/// applied. This is the section the single-flight guard protects: everything
+/// in here is a pure function of the config, so one execution serves every
+/// concurrent requester of the same key. Two processes that simulate one key
+/// publish identical bytes by atomic rename, so no cross-process
+/// coordination is needed.
 Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
                                         const std::string& key) {
   // Constructed per call (cheap: reads of the env snapshot) so tests can
@@ -197,51 +171,19 @@ Result<ScenarioResult> load_or_simulate(const ScenarioConfig& config,
   }
   // kNotFound falls through to simulation; kCorruptArtifact additionally
   // quarantined the bad file inside load() — regeneration is the self-heal.
-  //
-  // Two independent retry budgets share env().scenario_retries:
-  //   * degenerate results re-simulate with a seed derived from the attempt
-  //     number (a different world may be healthy);
-  //   * deadline overruns re-simulate with the SAME seed and a doubled
-  //     budget — the trace a slow run would have produced is the trace the
-  //     retry must produce, or determinism breaks. The budget is carried in
-  //     double seconds, which doubling cannot overflow.
-  const int retries = env().scenario_retries;
-  double budget_s = static_cast<double>(env().trace_deadline_ms) * 1e-3;
-  Status last;
-  ScenarioConfig attempt = config;
-  int degenerate_attempts = 0;
-  int deadline_overruns = 0;
-  for (;;) {
-    attempt.seed = degenerate_attempts == 0
-                       ? config.seed
-                       : derive_retry_seed(config.seed, degenerate_attempts);
-    Result<ScenarioResult> simulated = simulate_with_deadline(attempt,
-                                                              budget_s);
-    if (!simulated.ok()) {
-      last = simulated.status();
-      if (++deadline_overruns > retries) {
-        return Status{StatusCode::kDeadlineExceeded,
-                      "scenario still over deadline after " +
-                          std::to_string(deadline_overruns) +
-                          " attempt(s): " + last.message()};
-      }
-      budget_s *= 2;
-      continue;
-    }
-    last = validate_scenario_result(*simulated);
-    if (last.ok()) {
-      // Keyed on the *original* config: the retry sequence is deterministic,
-      // so the key still maps to exactly one trace. A failed store only
-      // costs the next caller a re-simulation.
-      cache.store(key, *simulated);
-      return std::move(*simulated);
-    }
-    if (++degenerate_attempts > retries) break;
+  // The key names one seed's run, so a failed run is reported, not re-run.
+  // A non-positive XFA_TRACE_DEADLINE_MS makes the guard a no-op.
+  const DeadlineGuard guard(static_cast<double>(env().trace_deadline_ms) *
+                            1e-3);
+  Result<ScenarioResult> simulated = simulate(config);
+  const Status status =
+      simulated.ok() ? validate_scenario_result(*simulated) : simulated.status();
+  if (!status.ok()) {
+    return Status{status.code(), status.message() + ": " + key};
   }
-  return Status{last.code(),
-                "scenario stayed degenerate after " +
-                    std::to_string(degenerate_attempts) + " attempt(s): " +
-                    last.message()};
+  // A failed store only costs the next caller a re-simulation.
+  cache.store(key, *simulated);
+  return simulated;
 }
 
 /// In-flight dedup across pool workers: two tasks asking for the same trace

@@ -58,18 +58,17 @@ Status validate_scenario_result(const ScenarioResult& result);
 /// handshake: two processes that simulate one key publish identical bytes
 /// by atomic rename, and one artifact survives.
 ///
-/// Recovery path: a corrupt cache artifact is quarantined and the trace
-/// regenerated; a degenerate run is retried up to XFA_SCENARIO_RETRIES
-/// (default 2) times with seeds derived deterministically from config.seed,
-/// so the whole procedure — retries included — is a pure function of the
-/// config. Returns kDegenerateData when every attempt stayed degenerate.
+/// Recovery path: a corrupt or degenerate cache artifact is a miss — the
+/// corrupt file is quarantined and the trace regenerated. Each trace is the
+/// run of the seed its key names, so a simulation is never repeated under
+/// another seed: a degenerate run returns kDegenerateData at once, its
+/// message naming the cache key, and nothing is stored.
 ///
-/// Deadline supervision: with XFA_TRACE_DEADLINE_MS=N (> 0) each simulation
+/// Deadline supervision: with XFA_TRACE_DEADLINE_MS=N (> 0) the simulation
 /// runs under a soft wall-clock deadline (exec/deadline.h) — a hung run is
-/// cooperatively cancelled at a scheduler dispatch boundary and retried with
-/// the SAME seed and a doubled budget (determinism: the retry must produce
-/// the trace the slow run would have), up to the same retry count. Returns
-/// kDeadlineExceeded when every attempt overran.
+/// cooperatively cancelled at a scheduler dispatch boundary. A run cut short
+/// by that deadline, or by a DeadlineGuard the caller holds, returns
+/// kDeadlineExceeded and stores nothing.
 Result<ScenarioResult> run_scenario_checked(
     const ScenarioConfig& config, LabelPolicy policy = LabelPolicy::OnsetOnwards);
 

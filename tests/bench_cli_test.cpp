@@ -1,9 +1,9 @@
 // The xfa_bench command line, driven as a subprocess: smoke stdout is
 // byte-identical at --threads 1 and 8, two processes racing on one trace
 // cache both print the reference bytes and leave exactly one artifact per
-// trace unit and no .tmp/.corrupt litter, and every malformed, over-limit
-// or unknown flag is a usage error (exit 2) that runs nothing and writes no
-// --out file.
+// trace unit and no .tmp/.corrupt litter, a deadline overrun fails the run
+// loudly, and every malformed, over-limit or unknown flag is a usage error
+// (exit 2) that runs nothing and writes no --out file.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -25,22 +25,26 @@ std::string read_file(const std::string& path) {
 }
 
 /// The shell command that runs `xfa_bench <args>` in fast mode with the
-/// trace cache at `cache_dir`, or with no cache when `cache_dir` is empty.
-/// XFA_NO_CACHE is always set explicitly, because the robustness gate in
-/// scripts/check.sh exports XFA_NO_CACHE=1 around its ctest run.
+/// trace cache at `cache_dir`, or with no cache when `cache_dir` is empty,
+/// and any further `env` assignments. XFA_NO_CACHE is always set
+/// explicitly, because the robustness gate in scripts/check.sh exports
+/// XFA_NO_CACHE=1 around its ctest run.
 std::string bench_command(const std::string& cache_dir,
-                          const std::string& args) {
+                          const std::string& args,
+                          const std::string& env = "") {
   const std::string cache = cache_dir.empty()
                                 ? std::string("XFA_NO_CACHE=1")
                                 : "XFA_NO_CACHE=0 XFA_CACHE_DIR=" + cache_dir;
-  return "XFA_FAST=1 " + cache + " " + XFA_BENCH_BINARY + " " + args;
+  return "XFA_FAST=1 " + cache + " " + env + " " + XFA_BENCH_BINARY + " " +
+         args;
 }
 
 /// Runs one xfa_bench with stdout to `out_path` and stderr to `err_path`;
 /// returns the raw std::system status.
 int run_bench(const std::string& cache_dir, const std::string& args,
-              const std::string& out_path, const std::string& err_path) {
-  const std::string command = bench_command(cache_dir, args) + " > " +
+              const std::string& out_path, const std::string& err_path,
+              const std::string& env = "") {
+  const std::string command = bench_command(cache_dir, args, env) + " > " +
                               out_path + " 2> " + err_path;
   return std::system(command.c_str());
 }
@@ -154,6 +158,18 @@ TEST_F(BenchCliTest, MalformedOrOverLimitValuesAreUsageErrors) {
       "--threads=-1", "--threads=+2", "--threads=0",
       "--threads=" + std::to_string(kMaxThreads + 1), "--out="};
   for (const std::string& flag : flags) expect_usage_error(flag);
+}
+
+TEST_F(BenchCliTest, DeadlineOverrunFailsTheRunLoudly) {
+  // A 1 ms budget cuts every trace short. The run is not repeated with a
+  // larger budget: it fails, naming the overrun.
+  const int status =
+      run_bench("", "smoke --threads=2", path("stdout"), path("stderr"),
+                "XFA_TRACE_DEADLINE_MS=1");
+  EXPECT_FALSE(exited_with(status, 0)) << "raw status " << status;
+  EXPECT_NE(read_file(path("stderr")).find("kDeadlineExceeded"),
+            std::string::npos)
+      << read_file(path("stderr"));
 }
 
 TEST_F(BenchCliTest, RetiredRunModeFlagsAreUnknown) {

@@ -1,7 +1,8 @@
 // Corruption-sweep coverage for the self-healing trace cache (XFATRC3):
 // no on-disk bytes — truncated, bit-flipped, or hostile — may crash or abort
 // the process; every invalid artifact must end in quarantine + regeneration.
-// Also the runner's cache-only mode, which loads but never simulates.
+// Also the runner's treatment of a valid but degenerate artifact as a miss,
+// and its cache-only mode, which loads but never simulates.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -310,6 +311,37 @@ TEST_F(CacheRobustnessTest, PipelineRegeneratesCorruptedArtifact) {
   // The regenerated artifact is valid again.
   const Result<ScenarioResult> reloaded = cache.load(config.cache_key());
   EXPECT_TRUE(reloaded.ok()) << reloaded.status().to_string();
+}
+
+// A checksum-valid artifact whose trace is unusable (here: a monitor that
+// observed no packets) is a miss: the run simulates again, returns a valid
+// trace, and the artifact it publishes validates.
+TEST_F(CacheRobustnessTest, DegenerateArtifactIsAMissAndIsReplaced) {
+  setenv("XFA_CACHE_DIR", dir_.c_str(), 1);
+  refresh_env_for_testing();
+  ScenarioConfig config;
+  config.node_count = 15;
+  config.duration = 150;
+  config.seed = 44;
+  config.traffic.max_connections = 8;
+  const std::string key = config.cache_key();
+
+  ScenarioResult degenerate = sample_result();
+  degenerate.summary.monitor_audit_packets = 0;
+  ASSERT_EQ(validate_scenario_result(degenerate).code(),
+            StatusCode::kDegenerateData);
+  ASSERT_TRUE(TraceCache().store(key, degenerate).ok());
+  ASSERT_TRUE(TraceCache().load(key).ok());
+
+  const Result<ScenarioResult> result = run_scenario_checked(config);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(validate_scenario_result(*result).ok());
+  EXPECT_NE(result->trace.rows, degenerate.trace.rows);
+
+  const Result<ScenarioResult> reloaded = TraceCache().load(key);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().to_string();
+  EXPECT_TRUE(validate_scenario_result(*reloaded).ok());
+  EXPECT_EQ(reloaded->trace.rows, result->trace.rows);
 }
 
 // Cache-only mode (set_require_cached_traces): a miss is kNotFound naming

@@ -128,8 +128,8 @@ TEST(ParseU64Test, AcceptsOnlyDigitsThatFit) {
 /// whatever the process environment held before the test.
 class EnvSnapshotTest : public ::testing::Test {
  protected:
-  static constexpr const char* kNames[] = {
-      "XFA_SCENARIO_RETRIES", "XFA_THREADS", "XFA_TRACE_DEADLINE_MS"};
+  static constexpr const char* kNames[] = {"XFA_THREADS",
+                                           "XFA_TRACE_DEADLINE_MS"};
 
   void SetUp() override {
     for (std::size_t i = 0; i < std::size(kNames); ++i) {
@@ -151,11 +151,9 @@ class EnvSnapshotTest : public ::testing::Test {
 };
 
 TEST_F(EnvSnapshotTest, StrictIntegersOverrideDefaults) {
-  setenv("XFA_SCENARIO_RETRIES", "0", 1);
   setenv("XFA_THREADS", "3", 1);
   setenv("XFA_TRACE_DEADLINE_MS", "250", 1);
   refresh_env_for_testing();
-  EXPECT_EQ(env().scenario_retries, 0);
   EXPECT_EQ(env().threads, 3u);
   EXPECT_EQ(env().trace_deadline_ms, 250);
 
@@ -166,26 +164,23 @@ TEST_F(EnvSnapshotTest, StrictIntegersOverrideDefaults) {
 }
 
 TEST_F(EnvSnapshotTest, MalformedOrOutOfRangeValuesKeepDefaults) {
-  // A unit suffix, plain text, a sign and an int overflow: none may become
-  // a number ("abc" as 0 would silently disable scenario retries).
-  setenv("XFA_TRACE_DEADLINE_MS", "99999999999", 1);  // > INT_MAX
-  setenv("XFA_SCENARIO_RETRIES", "abc", 1);
-  setenv("XFA_THREADS", "+4", 1);
-  refresh_env_for_testing();
+  // An int overflow, plain text, a unit suffix and a sign: none may become
+  // a number.
   const EnvSnapshot defaults;
-  EXPECT_EQ(env().trace_deadline_ms, defaults.trace_deadline_ms);
-  EXPECT_EQ(env().scenario_retries, defaults.scenario_retries);
-  EXPECT_EQ(env().threads, defaults.threads);
+  for (const char* bad : {"99999999999", "abc", "10s", "-1"}) {
+    setenv("XFA_TRACE_DEADLINE_MS", bad, 1);
+    refresh_env_for_testing();
+    EXPECT_EQ(env().trace_deadline_ms, defaults.trace_deadline_ms) << bad;
+  }
 
-  setenv("XFA_TRACE_DEADLINE_MS", "10s", 1);
-  setenv("XFA_SCENARIO_RETRIES", "-1", 1);
-  // One past the pool-size limit: the snapshot only stores the value, so
-  // no thread is started here.
-  setenv("XFA_THREADS", std::to_string(kMaxThreads + 1).c_str(), 1);
-  refresh_env_for_testing();
-  EXPECT_EQ(env().trace_deadline_ms, defaults.trace_deadline_ms);
-  EXPECT_EQ(env().scenario_retries, defaults.scenario_retries);
-  EXPECT_EQ(env().threads, defaults.threads);
+  // A sign, and one past the pool-size limit: the snapshot only stores the
+  // value, so no thread is started here.
+  for (const std::string& bad : {std::string("+4"),
+                                 std::to_string(kMaxThreads + 1)}) {
+    setenv("XFA_THREADS", bad.c_str(), 1);
+    refresh_env_for_testing();
+    EXPECT_EQ(env().threads, defaults.threads) << bad;
+  }
 }
 
 }  // namespace

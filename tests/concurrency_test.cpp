@@ -1,7 +1,8 @@
 // Concurrency-safety of the scenario layer: many writers hammering the
-// trace cache leave no litter and lose no bytes, and the parallel
+// trace cache leave no litter and lose no bytes, the parallel
 // gather_experiment_checked produces the exact inventory the serial path
-// does. These suites are the core of the ThreadSanitizer CI pass.
+// does, and one degenerate trace fails the inventory without being cached.
+// These suites are the core of the ThreadSanitizer CI pass.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -124,6 +125,7 @@ class ParallelGatherTest : public ::testing::Test {
   }
   void TearDown() override {
     unsetenv("XFA_NO_CACHE");
+    unsetenv("XFA_CACHE_DIR");
     refresh_env_for_testing();
     resize_shared_pool(1);
   }
@@ -167,6 +169,38 @@ TEST_F(ParallelGatherTest, PoolSizeDoesNotChangeTheInventory) {
     EXPECT_EQ(serial->summaries[i].scheduler_events,
               parallel->summaries[i].scheduler_events)
         << i;
+}
+
+TEST_F(ParallelGatherTest, DegenerateTraceFailsTheInventoryAndIsNotCached) {
+  ScenarioConfig normal;
+  normal.node_count = 15;
+  normal.duration = 150;
+  normal.seed = 4343;
+  normal.traffic.max_connections = 8;
+  ScenarioConfig degenerate = normal;
+  degenerate.duration = 1;  // shorter than one sample: degenerate for any seed
+  const std::string key = degenerate.cache_key();
+  ExperimentOptions options;
+  options.normal_eval_traces = 1;
+  options.abnormal_traces = 0;
+
+  const std::string dir = ::testing::TempDir() + "xfa_gather_degenerate";
+  unsetenv("XFA_NO_CACHE");
+  setenv("XFA_CACHE_DIR", dir.c_str(), 1);
+  refresh_env_for_testing();
+  for (const std::size_t pool_size : {1u, 4u}) {
+    std::filesystem::remove_all(dir);
+    resize_shared_pool(pool_size);
+    const Result<ExperimentData> data =
+        gather_inventory_checked({normal, degenerate}, options);
+    ASSERT_FALSE(data.ok()) << pool_size;
+    EXPECT_EQ(data.status().code(), StatusCode::kDegenerateData) << pool_size;
+    EXPECT_NE(data.status().message().find(key), std::string::npos)
+        << pool_size << ": " << data.status().to_string();
+    EXPECT_FALSE(std::filesystem::exists(TraceCache().artifact_path(key)))
+        << pool_size;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ParallelGatherTest, ConcurrentSameKeyRequestsSingleFlight) {

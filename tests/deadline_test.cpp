@@ -1,12 +1,14 @@
 // Deadline-supervised execution (exec/deadline.h): the thread-local
 // DeadlineGuard and its nesting, its scoping to one pool task, the
 // cooperative cancellation poll at the simulation scheduler's dispatch
-// boundary, and the scenario runner's retry-with-doubled-budget policy (same
-// seed, so determinism holds).
+// boundary, and the scenario runner's deadline handling: an overrun, whichever
+// guard set it, fails with kDeadlineExceeded and stores nothing, and a
+// generous budget changes no bytes.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <limits>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "common/env.h"
 #include "exec/deadline.h"
 #include "exec/thread_pool.h"
+#include "scenario/cache.h"
 #include "scenario/runner.h"
 #include "sim/scheduler.h"
 
@@ -60,8 +63,8 @@ TEST(DeadlineGuardTest, FiresAfterBudgetElapses) {
 }
 
 TEST(DeadlineGuardTest, GenerousBudgetDoesNotFire) {
-  // Budgets past the clock's range, up to the infinity a retry budget
-  // reaches after enough doublings, must not wrap into a past deadline.
+  // Budgets past the clock's range, up to infinity, must not wrap into a
+  // past deadline.
   for (const double seconds : {300.0, 1e12, 1e300,
                                std::numeric_limits<double>::infinity()}) {
     DeadlineGuard guard(seconds);
@@ -86,6 +89,14 @@ TEST(DeadlineGuardTest, NestedGuardRestoresOuterToken) {
   // again, which has not fired.
   EXPECT_FALSE(deadline_exceeded());
   EXPECT_FALSE(outer.exceeded());
+}
+
+TEST(DeadlineGuardTest, NestedGuardCannotExtendOuterDeadline) {
+  DeadlineGuard outer(0.02);
+  DeadlineGuard inner(300.0);
+  EXPECT_TRUE(spin_until_exceeded());
+  EXPECT_TRUE(outer.exceeded());
+  EXPECT_FALSE(inner.exceeded());
 }
 
 /// A deadline belongs to the thread that installed it for the guard's scope
@@ -149,7 +160,7 @@ class ScenarioDeadlineTest : public ::testing::Test {
   void TearDown() override {
     unsetenv("XFA_NO_CACHE");
     unsetenv("XFA_TRACE_DEADLINE_MS");
-    unsetenv("XFA_SCENARIO_RETRIES");
+    unsetenv("XFA_CACHE_DIR");
     refresh_env_for_testing();
   }
 
@@ -165,11 +176,9 @@ class ScenarioDeadlineTest : public ::testing::Test {
 
 TEST_F(ScenarioDeadlineTest, ImpossibleBudgetFailsSoft) {
   // Deadline budgets are wall-clock, so this test must not sit anywhere
-  // near the boundary: zero retries (no doubling that could sneak a fast
-  // machine under the wire) and a scenario whose simulation takes orders
-  // of magnitude longer than the 1 ms budget.
+  // near the boundary: a scenario whose simulation takes orders of
+  // magnitude longer than the 1 ms budget.
   setenv("XFA_TRACE_DEADLINE_MS", "1", 1);
-  setenv("XFA_SCENARIO_RETRIES", "0", 1);
   refresh_env_for_testing();
   ScenarioConfig config = small_config();
   config.node_count = 30;
@@ -193,23 +202,30 @@ TEST_F(ScenarioDeadlineTest, GenerousBudgetMatchesUnsupervisedRun) {
   EXPECT_EQ(supervised->trace.rows, baseline->trace.rows);
 }
 
-TEST_F(ScenarioDeadlineTest, BudgetDoublingRecoversWithSameSeed) {
-  const Result<ScenarioResult> baseline =
-      run_scenario_checked(small_config());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().to_string();
-
-  // Start with a 1 ms budget that certainly fires, and enough retries that
-  // doubling reaches a budget this scenario comfortably fits (2^19 ms);
-  // the loop stops at the first success. The recovered trace must be the
-  // one the slow run would have produced: same seed, same bytes.
-  setenv("XFA_TRACE_DEADLINE_MS", "1", 1);
-  setenv("XFA_SCENARIO_RETRIES", "19", 1);
+/// A run cut short by a deadline the caller holds is an overrun too, not a
+/// trace with no samples: it fails with kDeadlineExceeded even with
+/// XFA_TRACE_DEADLINE_MS unset, and nothing reaches the cache.
+TEST_F(ScenarioDeadlineTest, OuterGuardOverrunIsReportedAndNotStored) {
+  const std::string dir =
+      ::testing::TempDir() + "xfa_deadline_outer_guard_cache";
+  std::filesystem::remove_all(dir);
+  unsetenv("XFA_NO_CACHE");
+  setenv("XFA_CACHE_DIR", dir.c_str(), 1);
   refresh_env_for_testing();
-  const Result<ScenarioResult> recovered =
-      run_scenario_checked(small_config());
-  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  EXPECT_EQ(recovered->trace.times, baseline->trace.times);
-  EXPECT_EQ(recovered->trace.rows, baseline->trace.rows);
+  const ScenarioConfig config = small_config();
+
+  DeadlineGuard outer(0.001);
+  ASSERT_TRUE(spin_until_exceeded());
+  const Result<ScenarioResult> result = run_scenario_checked(config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().to_string();
+  EXPECT_NE(result.status().message().find(config.cache_key()),
+            std::string::npos)
+      << result.status().to_string();
+  EXPECT_FALSE(std::filesystem::exists(
+      TraceCache(dir).artifact_path(config.cache_key())));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

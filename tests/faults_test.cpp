@@ -1,6 +1,6 @@
 // Fault-injection layer: FaultPlan semantics, deterministic chaos
 // scheduling, the monitored node's crash immunity, the chaos actually
-// reaching the channel, and the bounded-retry path for degenerate runs.
+// reaching the channel, and the loud failure of a degenerate run.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -124,7 +124,6 @@ class FaultScenarioTest : public ::testing::Test {
   }
   void TearDown() override {
     unsetenv("XFA_NO_CACHE");
-    unsetenv("XFA_SCENARIO_RETRIES");
     refresh_env_for_testing();
   }
 };
@@ -155,25 +154,18 @@ TEST_F(FaultScenarioTest, ChaosReachesTheChannelAndAltersTheTrace) {
             0u);
 }
 
-TEST_F(FaultScenarioTest, DegenerateScenarioSurfacesAfterBoundedRetries) {
-  // duration < sample_interval yields a trace with no samples regardless of
-  // seed, so every derived-seed retry stays degenerate — deterministically.
+TEST_F(FaultScenarioTest, DegenerateScenarioFailsOnceNamingTheKey) {
+  // duration < sample_interval yields a trace with no samples for any seed.
+  // The key names one seed's run, so the failure is reported at once.
   ScenarioConfig config = small_config();
   config.duration = 1;
 
   const Result<ScenarioResult> result = run_scenario_checked(config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDegenerateData);
-  // Default retry budget: 1 initial + 2 retries.
-  EXPECT_NE(result.status().message().find("3 attempt"), std::string::npos)
+  EXPECT_NE(result.status().message().find(config.cache_key()),
+            std::string::npos)
       << result.status().message();
-
-  setenv("XFA_SCENARIO_RETRIES", "0", 1);
-  refresh_env_for_testing();
-  const Result<ScenarioResult> no_retry = run_scenario_checked(config);
-  ASSERT_FALSE(no_retry.ok());
-  EXPECT_NE(no_retry.status().message().find("1 attempt"), std::string::npos)
-      << no_retry.status().message();
 }
 
 }  // namespace
